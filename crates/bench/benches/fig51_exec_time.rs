@@ -7,15 +7,12 @@
 //! `θ = τ_O/τ_NR × 100 %` (eq. 5-3); the full four-dataset series is
 //! printed by `cargo run --release --example reproduce_paper -- fig51`.
 //!
-//! Each algorithm is measured three ways: through the simple allocating
-//! [`PositionSolver`] path (the `<ALGO>/{m}` ids, unchanged from before
-//! the `Solver` refactor), through the zero-allocation
-//! [`gps_core::Solver`] + [`SolveContext`] path pinned to the **heap**
-//! buffers (`<ALGO>-ctx/{m}`, preserving the meaning of the pre-stack
-//! numbers), and through the same path on the default const-generic
-//! **stack** kernel lane (`<ALGO>-stk/{m}`). `ctx` minus the simple path
-//! is the context refactor's per-epoch saving; `stk` minus `ctx` is the
-//! stack-kernel lane's.
+//! Each algorithm is measured two ways: through the simple allocating
+//! [`PositionSolver`] path (the `<ALGO>/{m}` ids) and through the
+//! zero-allocation [`gps_core::Solver`] + [`SolveContext`] path with a
+//! reused context (`<ALGO>-ctx/{m}`), which runs the same single kernel
+//! per solver. `ctx` minus the simple path is the per-epoch cost of the
+//! allocating wrapper.
 
 use gps_bench::fixture_epochs;
 use gps_bench::harness::{Harness, Throughput};
@@ -40,16 +37,6 @@ fn bench_solvers(h: &mut Harness) {
             })
         });
         group.bench_with_input(&format!("NR-ctx/{m}"), &epochs, |b, epochs| {
-            let mut ctx = SolveContext::new().with_stack_kernels(false);
-            b.iter(|| {
-                for meas in epochs {
-                    let epoch = Epoch::new(black_box(meas), 0.0);
-                    let _ = black_box(gps_core::Solver::solve(&nr, &epoch, &mut ctx));
-                }
-            })
-        });
-
-        group.bench_with_input(&format!("NR-stk/{m}"), &epochs, |b, epochs| {
             let mut ctx = SolveContext::new();
             b.iter(|| {
                 for meas in epochs {
@@ -82,16 +69,6 @@ fn bench_solvers(h: &mut Harness) {
             })
         });
         group.bench_with_input(&format!("DLO-ctx/{m}"), &epochs, |b, epochs| {
-            let mut ctx = SolveContext::new().with_stack_kernels(false);
-            b.iter(|| {
-                for meas in epochs {
-                    let epoch = Epoch::new(black_box(meas), 12.0);
-                    let _ = black_box(gps_core::Solver::solve(&dlo, &epoch, &mut ctx));
-                }
-            })
-        });
-
-        group.bench_with_input(&format!("DLO-stk/{m}"), &epochs, |b, epochs| {
             let mut ctx = SolveContext::new();
             b.iter(|| {
                 for meas in epochs {
@@ -110,16 +87,6 @@ fn bench_solvers(h: &mut Harness) {
             })
         });
         group.bench_with_input(&format!("DLG-ctx/{m}"), &epochs, |b, epochs| {
-            let mut ctx = SolveContext::new().with_stack_kernels(false);
-            b.iter(|| {
-                for meas in epochs {
-                    let epoch = Epoch::new(black_box(meas), 12.0);
-                    let _ = black_box(gps_core::Solver::solve(&dlg, &epoch, &mut ctx));
-                }
-            })
-        });
-
-        group.bench_with_input(&format!("DLG-stk/{m}"), &epochs, |b, epochs| {
             let mut ctx = SolveContext::new();
             b.iter(|| {
                 for meas in epochs {
@@ -138,16 +105,6 @@ fn bench_solvers(h: &mut Harness) {
             })
         });
         group.bench_with_input(&format!("Bancroft-ctx/{m}"), &epochs, |b, epochs| {
-            let mut ctx = SolveContext::new().with_stack_kernels(false);
-            b.iter(|| {
-                for meas in epochs {
-                    let epoch = Epoch::new(black_box(meas), 0.0);
-                    let _ = black_box(gps_core::Solver::solve(&bancroft, &epoch, &mut ctx));
-                }
-            })
-        });
-
-        group.bench_with_input(&format!("Bancroft-stk/{m}"), &epochs, |b, epochs| {
             let mut ctx = SolveContext::new();
             b.iter(|| {
                 for meas in epochs {

@@ -7,11 +7,10 @@
 //! so the derived elements/s column is positioning fixes per second for
 //! that lane.
 //!
-//! A second, serial sweep varies the SoA block size — the batched
+//! A second, serial sweep varies the block size — the batched
 //! single-thread [`Engine`] fed through `run_blocked` with 1, 4 and 8
-//! epochs lock-step — so the committed numbers separate the
-//! const-generic/SoA lane win (pure single-core solve rate) from thread
-//! scaling and parallel plumbing.
+//! epochs per block — so the committed numbers separate the pure
+//! single-core solve rate from thread scaling and parallel plumbing.
 //!
 //! Besides the usual harness output, the run distils a machine-readable
 //! summary to `BENCH_throughput.json` at the repository root —
@@ -34,8 +33,8 @@ const SATELLITES: usize = 8;
 /// Dataset seed (the paper's publication year, same as the CLI default).
 const SEED: u64 = 2010;
 
-/// The swept block sizes for the single-worker SoA lane:
-/// `run_blocked` with 1 (degenerate blocks), 4 and 8 epochs lock-step.
+/// The swept block sizes for the single-worker serial engine:
+/// `run_blocked` with 1 (degenerate blocks), 4 and 8 epochs per block.
 const BLOCK_SWEEP: [usize; 3] = [1, 4, 8];
 
 /// One summary cell for the JSON report.
@@ -46,7 +45,7 @@ struct Cell {
     /// the pure single-core solve rate.
     mode: &'static str,
     jobs: usize,
-    /// Epochs per lock-step block; 1 = per-epoch feeding.
+    /// Epochs per block; 1 = per-epoch feeding.
     block_size: usize,
     ns_per_stream: f64,
     fixes_per_sec: f64,
@@ -93,9 +92,9 @@ fn main() {
         }
     }
     // Serial block-size sweep: the batched single-thread `Engine` fed
-    // through lock-step EpochBlocks. No pool, no channels, no merge —
-    // the SoA lane's pure single-core solve rate, isolated from both
-    // thread scaling and parallel plumbing.
+    // through EpochBlocks. No pool, no channels, no merge — the pure
+    // single-core solve rate, isolated from both thread scaling and
+    // parallel plumbing.
     for &bs in &BLOCK_SWEEP {
         for (lane, name) in lane_names.iter().enumerate() {
             let mut engine = Engine::new()
@@ -145,7 +144,7 @@ fn collect_cells(sweep: &[usize], lane_names: &[&'static str], epochs: usize) ->
             });
         }
         // Serial block cells are normalized to the serial block-1 cell,
-        // so their speedup column reads as the SoA win directly.
+        // so their speedup column reads as the block-feeding win directly.
         let serial_baseline_ns = lookup(format!("{name}.serial-block-1"));
         for &bs in &BLOCK_SWEEP {
             let ns = lookup(format!("{name}.serial-block-{bs}"));

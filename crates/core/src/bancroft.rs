@@ -1,7 +1,5 @@
 use gps_geodesy::Ecef;
-use gps_linalg::lstsq;
-use gps_linalg::stack::{self, SMat, SVec};
-use gps_linalg::STACK_M_CAP;
+use gps_linalg::NormalEquations;
 
 use crate::measurement::validate;
 use crate::{Measurement, Solution, SolveError};
@@ -19,7 +17,9 @@ use crate::{Measurement, Solution, SolveError};
 /// Formulation: with satellite 4-vectors `aᵢ = (sᵢ; ρᵢ)` under the Lorentz
 /// inner product `⟨u,v⟩ = u·v − u₄v₄`, the unknown `y = (x; b)` satisfies
 /// `B M y = r + Λ e` with `rᵢ = ½⟨aᵢ,aᵢ⟩` and `Λ = ½⟨y,y⟩`, which reduces
-/// to a scalar quadratic in `Λ`.
+/// to a scalar quadratic in `Λ`. Both pseudo-inverse applications `B⁺e`
+/// and `B⁺r` come from one fold of `BᵀB` and one 4×4 Cholesky
+/// factorization.
 ///
 /// # Example
 ///
@@ -51,7 +51,9 @@ pub struct Bancroft;
 
 /// Lorentz (Minkowski) inner product on 4-vectors.
 fn lorentz(u: &[f64; 4], v: &[f64; 4]) -> f64 {
-    u[0] * v[0] + u[1] * v[1] + u[2] * v[2] - u[3] * v[3]
+    let [u0, u1, u2, u3] = *u;
+    let [v0, v1, v2, v3] = *v;
+    u0 * v0 + u1 * v1 + u2 * v2 - u3 * v3
 }
 
 impl Bancroft {
@@ -72,96 +74,6 @@ impl Bancroft {
             .sum();
         (sum / measurements.len() as f64).sqrt()
     }
-
-    /// Stack-kernel fast lane: the same closed-form solution with `B`, `r`
-    /// and `e` in stack storage and the two pseudo-inverse applications
-    /// solved by `stack::ols4`. Bit-identical to the heap lane.
-    // lint: no_alloc
-    fn solve_stack(&self, epoch: &crate::Epoch<'_>) -> Result<Solution, SolveError> {
-        let measurements = epoch.measurements;
-        validate(measurements, 4)?;
-        let m = measurements.len();
-
-        // B has rows (sᵢ, ρᵢ); r_i = ½⟨aᵢ,aᵢ⟩.
-        let mut b = SMat::<STACK_M_CAP, 4>::zeroed(m);
-        let mut r = SVec::<STACK_M_CAP>::zeroed(m);
-        for (i, meas) in measurements.iter().enumerate() {
-            let row = b.row_mut(i);
-            row[0] = meas.position.x;
-            row[1] = meas.position.y;
-            row[2] = meas.position.z;
-            row[3] = meas.pseudorange;
-            r.as_mut_slice()[i] =
-                0.5 * (meas.position.norm_squared() - meas.pseudorange * meas.pseudorange);
-        }
-
-        // B⁺ applied to e and to r via least squares (exact inverse when
-        // m = 4).
-        let mut ones = SVec::<STACK_M_CAP>::zeroed(m);
-        ones.as_mut_slice().fill(1.0);
-        let bplus_e = stack::ols4(&b, &ones)?;
-        let bplus_r = stack::ols4(&b, &r)?;
-
-        // u = M B⁺ e, v = M B⁺ r (M = diag(1,1,1,−1)).
-        let u = [bplus_e[0], bplus_e[1], bplus_e[2], -bplus_e[3]];
-        let v = [bplus_r[0], bplus_r[1], bplus_r[2], -bplus_r[3]];
-
-        // Quadratic ⟨u,u⟩Λ² + 2(⟨u,v⟩ − 1)Λ + ⟨v,v⟩ = 0.
-        let qa = lorentz(&u, &u);
-        let qb = 2.0 * (lorentz(&u, &v) - 1.0);
-        let qc = lorentz(&v, &v);
-
-        // At most two candidate roots; kept on the stack.
-        let mut lambdas = [0.0_f64; 2];
-        let nroots = if qa.abs() < 1e-18 {
-            if qb.abs() < 1e-30 {
-                return Err(SolveError::NoRealRoot);
-            }
-            lambdas[0] = -qc / qb;
-            1
-        } else {
-            let disc = qb * qb - 4.0 * qa * qc;
-            if disc < 0.0 {
-                return Err(SolveError::NoRealRoot);
-            }
-            let sq = disc.sqrt();
-            // Numerically stable pair of roots.
-            let q = -0.5 * (qb + sq.copysign(qb));
-            lambdas[0] = q / qa;
-            if q.abs() > 0.0 {
-                lambdas[1] = qc / q;
-                2
-            } else {
-                1
-            }
-        };
-
-        // Evaluate each root; keep the candidate with the smallest post-fit
-        // residual (the spurious root places the receiver far from the
-        // measurements' consistent geometry).
-        let mut best: Option<(Ecef, f64, f64)> = None;
-        for &lambda in &lambdas[..nroots] {
-            let y = [
-                lambda * u[0] + v[0],
-                lambda * u[1] + v[1],
-                lambda * u[2] + v[2],
-                lambda * u[3] + v[3],
-            ];
-            let pos = Ecef::new(y[0], y[1], y[2]);
-            let bias = y[3];
-            if !pos.is_finite() || !bias.is_finite() {
-                continue;
-            }
-            let rms = Bancroft::residual_rms(measurements, pos, bias);
-            if best.as_ref().is_none_or(|(_, _, best_rms)| rms < *best_rms) {
-                best = Some((pos, bias, rms));
-            }
-        }
-        match best {
-            Some((pos, bias, rms)) => Ok(Solution::new(pos, Some(bias), 1, rms)),
-            None => Err(SolveError::NoRealRoot),
-        }
-    }
 }
 
 // Implemented without importing `Solver`, so `.solve(&meas, bias)` in
@@ -172,56 +84,42 @@ impl crate::Solver for Bancroft {
     fn solve(
         &self,
         epoch: &crate::Epoch<'_>,
-        ctx: &mut crate::SolveContext,
+        _ctx: &mut crate::SolveContext,
     ) -> Result<Solution, SolveError> {
-        if crate::solver::stack_lane(ctx, epoch.len()) {
-            return self.solve_stack(epoch);
-        }
         let measurements = epoch.measurements;
         validate(measurements, 4)?;
-        let m = measurements.len();
 
-        // B has rows (sᵢ, ρᵢ); r_i = ½⟨aᵢ,aᵢ⟩.
-        let b = &mut ctx.geometry;
-        let r = &mut ctx.rhs;
-        b.resize_zeroed(m, 4);
-        r.resize_zeroed(m);
-        for (i, meas) in measurements.iter().enumerate() {
-            let row = b.row_mut(i);
-            row[0] = meas.position.x;
-            row[1] = meas.position.y;
-            row[2] = meas.position.z;
-            row[3] = meas.pseudorange;
-            r[i] = 0.5 * (meas.position.norm_squared() - meas.pseudorange * meas.pseudorange);
+        // B has rows (sᵢ, ρᵢ); rᵢ = ½⟨aᵢ,aᵢ⟩. B⁺ is applied to e = 𝟙 and to
+        // r by least squares (exact inverse when m = 4), both right-hand
+        // sides sharing one fold and factorization of BᵀB.
+        let mut normal = NormalEquations::<4, 2>::new();
+        for meas in measurements {
+            let s = meas.position;
+            let rho = meas.pseudorange;
+            normal.add_row(
+                [s.x, s.y, s.z, rho],
+                [1.0, 0.5 * (s.norm_squared() - rho * rho)],
+            );
         }
-
-        // B⁺ applied to e and to r via least squares (exact inverse when
-        // m = 4).
-        let ones = &mut ctx.rhs_aux;
-        ones.resize_zeroed(m);
-        ones.as_mut_slice().fill(1.0);
-        lstsq::ols_into(b, ones, &mut ctx.lstsq, &mut ctx.step)?;
-        lstsq::ols_into(b, r, &mut ctx.lstsq, &mut ctx.step_aux)?;
-        let bplus_e = &ctx.step;
-        let bplus_r = &ctx.step_aux;
+        let [bplus_e, bplus_r] = normal.solve_cholesky()?;
 
         // u = M B⁺ e, v = M B⁺ r (M = diag(1,1,1,−1)).
-        let u = [bplus_e[0], bplus_e[1], bplus_e[2], -bplus_e[3]];
-        let v = [bplus_r[0], bplus_r[1], bplus_r[2], -bplus_r[3]];
+        let [e0, e1, e2, e3] = bplus_e;
+        let [r0, r1, r2, r3] = bplus_r;
+        let u = [e0, e1, e2, -e3];
+        let v = [r0, r1, r2, -r3];
 
         // Quadratic ⟨u,u⟩Λ² + 2(⟨u,v⟩ − 1)Λ + ⟨v,v⟩ = 0.
         let qa = lorentz(&u, &u);
         let qb = 2.0 * (lorentz(&u, &v) - 1.0);
         let qc = lorentz(&v, &v);
 
-        // At most two candidate roots; kept on the stack.
-        let mut lambdas = [0.0_f64; 2];
-        let nroots = if qa.abs() < 1e-18 {
+        // At most two candidate roots.
+        let roots = if qa.abs() < 1e-18 {
             if qb.abs() < 1e-30 {
                 return Err(SolveError::NoRealRoot);
             }
-            lambdas[0] = -qc / qb;
-            1
+            [Some(-qc / qb), None]
         } else {
             let disc = qb * qb - 4.0 * qa * qc;
             if disc < 0.0 {
@@ -230,28 +128,18 @@ impl crate::Solver for Bancroft {
             let sq = disc.sqrt();
             // Numerically stable pair of roots.
             let q = -0.5 * (qb + sq.copysign(qb));
-            lambdas[0] = q / qa;
-            if q.abs() > 0.0 {
-                lambdas[1] = qc / q;
-                2
-            } else {
-                1
-            }
+            [Some(q / qa), (q.abs() > 0.0).then(|| qc / q)]
         };
 
         // Evaluate each root; keep the candidate with the smallest post-fit
         // residual (the spurious root places the receiver far from the
         // measurements' consistent geometry).
+        let [u0, u1, u2, u3] = u;
+        let [v0, v1, v2, v3] = v;
         let mut best: Option<(Ecef, f64, f64)> = None;
-        for &lambda in &lambdas[..nroots] {
-            let y = [
-                lambda * u[0] + v[0],
-                lambda * u[1] + v[1],
-                lambda * u[2] + v[2],
-                lambda * u[3] + v[3],
-            ];
-            let pos = Ecef::new(y[0], y[1], y[2]);
-            let bias = y[3];
+        for lambda in roots.into_iter().flatten() {
+            let pos = Ecef::new(lambda * u0 + v0, lambda * u1 + v1, lambda * u2 + v2);
+            let bias = lambda * u3 + v3;
             if !pos.is_finite() || !bias.is_finite() {
                 continue;
             }

@@ -1,41 +1,28 @@
-//! Structure-of-arrays epoch batching: several same-shape epochs solved
-//! lock-step.
+//! Epoch batching: several same-shape epochs handed to a solver at once.
 //!
-//! The per-epoch [`Solver`](crate::Solver) hot path is already
-//! allocation-free, but it is *latency*-shaped: one epoch in, one fix
-//! out. Batch consumers — the throughput bench, the parallel engine's
-//! workers, the positioning service draining a deep queue — hand the
-//! solvers many independent epochs at once, and when those epochs share
-//! a satellite count the whole batch can be gathered into a
-//! structure-of-arrays layout and solved **lock-step**: the normal
-//! equation accumulators become `[f64; BLOCK_LANES]` arrays, the hot
-//! loops iterate lane-inner, and the compiler autovectorizes across
-//! epochs instead of within one (the per-epoch systems are too small —
-//! 3 unknowns, ≲16 rows — for any meaningful within-epoch SIMD).
-//!
-//! [`EpochBlock`] is the unit of that batching: a validated view over
-//! `1..=`[`BLOCK_LANES`] consecutive [`EpochJob`]s with identical
-//! measurement counts. [`crate::Solver::solve_block`] consumes one;
-//! the default implementation just loops the scalar path (so every
-//! solver supports block feeding), while [`crate::Dlo`] overrides it
-//! with the SoA kernel. Per-lane results are **bit-for-bit identical**
-//! to the per-epoch path — the SoA loop interchange reorders operations
-//! *across* lanes, never within one, and IEEE-754 arithmetic is
-//! deterministic — so block mode is purely a throughput knob (pinned by
-//! `tests/parallel_parity.rs` and the engine block tests).
+//! The per-epoch [`Solver`](crate::Solver) hot path is allocation-free
+//! but *latency*-shaped: one epoch in, one fix out. Batch consumers —
+//! the throughput bench, the parallel engine's workers, the positioning
+//! service draining a deep queue — hand the solvers many independent
+//! epochs at once. [`EpochBlock`] is the unit of that batching: a
+//! validated view over `1..=`[`BLOCK_LANES`] consecutive [`EpochJob`]s
+//! with identical measurement counts, consumed by
+//! [`crate::Solver::solve_block`]. Every solver runs the block through
+//! its one per-epoch kernel, lane by lane, so each lane's result is
+//! **bit-for-bit identical** to the per-epoch path and block mode only
+//! changes how epochs are fed (one call per block instead of per epoch;
+//! pinned by `tests/parallel_parity.rs` and the engine block tests).
 
 use crate::{Epoch, EpochJob};
 
-/// Maximum epochs an [`EpochBlock`] carries. Eight lanes of `f64` fill
-/// a 512-bit vector register exactly and keep the SoA gather of the
-/// largest shape (`STACK_M_CAP` rows) within a few KiB of stack.
+/// Maximum epochs an [`EpochBlock`] carries.
 pub const BLOCK_LANES: usize = 8;
 
 /// A validated view over consecutive same-shape epochs: every job has
 /// the same measurement count and there are `1..=BLOCK_LANES` of them.
 ///
-/// The invariant is what makes lock-step solving possible: all lanes
-/// share one geometry shape, so one row loop serves every epoch.
+/// Every lane shares one geometry shape, so a consumer can size its
+/// per-block scratch once.
 #[derive(Debug, Clone, Copy)]
 pub struct EpochBlock<'a> {
     jobs: &'a [EpochJob],

@@ -1,12 +1,10 @@
 use gps_geodesy::Ecef;
 use gps_linalg::lstsq::{self, GlsStrategy};
-use gps_linalg::stack::{self, SMat};
-use gps_linalg::{Matrix, STACK_M_CAP};
+use gps_linalg::{Matrix, NormalEquations, Rank1Normal3};
 
-use crate::dlo::LinearSystem;
+use crate::dlo::{LinearSystem, Linearization};
 use crate::instrument;
 use crate::{BaseSelection, Solution, SolveError};
-use gps_telemetry::{Event, Level};
 
 /// Which covariance structure DLG feeds to the general least-squares
 /// estimator — the subject of the `ablation_gls_cov` benchmark.
@@ -50,8 +48,8 @@ pub enum CovarianceModel {
 #[non_exhaustive]
 pub enum GlsPath {
     /// Exploit the rank-one-plus-diagonal structure of Ψ via the
-    /// Sherman–Morrison identity (`gps_linalg::lstsq::gls_rank1_into`):
-    /// `O(m)` flops and scratch, no m×m matrix ever materialized or
+    /// Sherman–Morrison identity ([`gps_linalg::Rank1Normal3`]): `O(m)`
+    /// flops, fixed-size scratch, no m×m matrix ever materialized or
     /// factored. The default — this is the paper's §6 "optimize the
     /// matrix operations" extension taken to its conclusion.
     #[default]
@@ -62,16 +60,15 @@ pub enum GlsPath {
     DenseWhitened,
     /// Materialize Ψ **and** its explicit inverse, evaluating eq. 4-21
     /// literally. Strictly more work than whitening; the
-    /// faithful-to-the-text ablation reference (allocates per solve, and
-    /// always runs on the heap lane).
+    /// faithful-to-the-text ablation reference (allocates per solve).
     DenseExplicit,
 }
 
 /// Algorithm **DLG**: Direct Linearization with the General Least Squares
 /// method (paper §4.4, 4.5).
 ///
-/// DLG shares [`linearize`] with [`crate::Dlo`] but replaces OLS with GLS
-/// (eq. 4-21):
+/// DLG shares [`crate::linearize`] with [`crate::Dlo`] but replaces OLS
+/// with GLS (eq. 4-21):
 ///
 /// `Xᵉ = (Aᵀ M⁻¹ A)⁻¹ Aᵀ M⁻¹ Dᵉ`
 ///
@@ -119,6 +116,80 @@ pub struct Dlg {
     gls: GlsPath,
 }
 
+/// The structured decomposition `Ψ = rank1·𝟙𝟙ᵀ + diag(d)` of one
+/// epoch's covariance, scaled by the squared base range: GLS is
+/// scale-invariant, and normalizing keeps the arithmetic well inside f64
+/// range (raw entries would be ~10¹⁴).
+///
+/// Every [`CovarianceModel`] fits this shape (the diagonal-only models
+/// have `rank1 = 0`), and `rank1 + dᵣ` / `rank1` are exactly the dense
+/// matrix's diagonal / off-diagonal entries.
+#[derive(Debug, Clone, Copy)]
+struct Psi {
+    model: CovarianceModel,
+    /// `1 / max(ρ₁², 1)`.
+    scale: f64,
+    /// `ρ₁²·scale`.
+    rho1_scaled: f64,
+    /// The rank-one weight.
+    rank1: f64,
+}
+
+/// Per-satellite variance weight from the elevation budget (the same
+/// `1/sin(el)` shape as the receiver-noise model); 1 when unannotated.
+fn elevation_weight(elevation: Option<f64>) -> f64 {
+    elevation.map_or(1.0, |e: f64| {
+        let clamped = e.clamp(3.0f64.to_radians(), std::f64::consts::FRAC_PI_2);
+        1.0 / clamped.sin()
+    })
+}
+
+impl Psi {
+    /// The decomposition for base corrected range `rho1` and base
+    /// elevation `base_elevation`.
+    fn new(model: CovarianceModel, rho1: f64, base_elevation: Option<f64>) -> Self {
+        let rho1_sq = rho1 * rho1;
+        let scale = 1.0 / rho1_sq.max(1.0);
+        let rho1_scaled = rho1_sq * scale;
+        let rank1 = match model {
+            CovarianceModel::Full => rho1_scaled,
+            CovarianceModel::DiagonalOnly | CovarianceModel::Identity => 0.0,
+            CovarianceModel::ElevationScaled => elevation_weight(base_elevation) * rho1_scaled,
+        };
+        Psi {
+            model,
+            scale,
+            rho1_scaled,
+            rank1,
+        }
+    }
+
+    /// Diagonal entry `dᵣ` of the differenced row whose satellite has
+    /// corrected range `rho` and elevation `elevation`.
+    fn diag(&self, rho: f64, elevation: Option<f64>) -> f64 {
+        let other = rho * rho * self.scale;
+        match self.model {
+            CovarianceModel::Full => other,
+            CovarianceModel::DiagonalOnly => self.rho1_scaled + other,
+            CovarianceModel::Identity => 1.0,
+            CovarianceModel::ElevationScaled => elevation_weight(elevation) * other,
+        }
+    }
+
+    /// Writes the dense `rows × rows` Ψ into `out`: `rank1` everywhere
+    /// plus `dᵣ` on the diagonal.
+    fn fill_dense(&self, rows: usize, diag: impl Iterator<Item = f64>, out: &mut Matrix) {
+        out.resize_zeroed(rows, rows);
+        for (r, d) in diag.enumerate() {
+            let row = out.row_mut(r);
+            row.fill(self.rank1);
+            if let Some(entry) = row.get_mut(r) {
+                *entry = self.rank1 + d;
+            }
+        }
+    }
+}
+
 impl Dlg {
     /// Creates a DLG solver with the paper's defaults (first-satellite
     /// base, full Ψ covariance) on the structured `O(m)` GLS path.
@@ -163,6 +234,27 @@ impl Dlg {
         self.gls
     }
 
+    /// The covariance decomposition of a linearized system plus its
+    /// diagonal, one entry per differenced row (row `r` is input
+    /// measurement `r` when `r < base_index`, else `r + 1`).
+    fn decompose<'s>(&self, sys: &'s LinearSystem) -> (Psi, impl Iterator<Item = f64> + 's) {
+        let base = sys.base_index;
+        let rho1 = sys.corrected_ranges.get(base).copied().unwrap_or(f64::NAN);
+        let psi = Psi::new(
+            self.covariance,
+            rho1,
+            sys.elevations.get(base).copied().flatten(),
+        );
+        let diag = sys
+            .corrected_ranges
+            .iter()
+            .zip(&sys.elevations)
+            .enumerate()
+            .filter(move |&(j, _)| j != base)
+            .map(move |(_, (&rho, &elevation))| psi.diag(rho, elevation));
+        (psi, diag)
+    }
+
     /// Builds the covariance matrix `M ∝ Ψ` of eq. 4-26 for a linearized
     /// system (step 3 of the paper's DLG pseudo-code).
     ///
@@ -170,90 +262,17 @@ impl Dlg {
     #[must_use]
     pub fn covariance_matrix(&self, sys: &LinearSystem) -> Matrix {
         let mut out = Matrix::default();
-        self.covariance_into(
-            &sys.corrected_ranges,
-            &sys.elevations,
-            sys.base_index,
-            &mut out,
-        );
+        self.covariance_matrix_into(sys, &mut out);
         out
     }
 
     /// [`Dlg::covariance_matrix`] with a caller-provided buffer: fills
-    /// `out` in place without intermediate allocations (the
-    /// [`crate::SolveContext`] hot path; also the zero-allocation arm of
-    /// the linalg-path ablation bench).
+    /// `out` in place without intermediate allocations (the zero-allocation
+    /// arm of the linalg-path ablation bench).
     // lint: no_alloc
     pub fn covariance_matrix_into(&self, sys: &LinearSystem, out: &mut Matrix) {
-        self.covariance_into(&sys.corrected_ranges, &sys.elevations, sys.base_index, out);
-    }
-
-    /// Core of [`Dlg::covariance_matrix_into`], operating on the raw
-    /// linearization buffers. Row/column `r` corresponds to input
-    /// measurement `r` when `r < base_index`, else `r + 1` (the base row
-    /// is differenced away).
-    // lint: no_alloc
-    pub(crate) fn covariance_into(
-        &self,
-        corrected_ranges: &[f64],
-        elevations: &[Option<f64>],
-        base_index: usize,
-        out: &mut Matrix,
-    ) {
-        let m = corrected_ranges.len();
-        let rho1 = corrected_ranges[base_index];
-        let rho1_sq = rho1 * rho1;
-        // Scale Ψ by the squared mean range: GLS is scale-invariant, and
-        // normalizing keeps the Cholesky well inside f64 range (raw
-        // entries would be ~10¹⁴).
-        let scale = 1.0 / rho1_sq.max(1.0);
-        let rho1_scaled = rho1_sq * scale;
-        // Diagonal term for differenced row r, from the original input.
-        let other = |r: usize| {
-            let j = if r < base_index { r } else { r + 1 };
-            corrected_ranges[j] * corrected_ranges[j] * scale
-        };
-        out.resize_zeroed(m - 1, m - 1);
-        match self.covariance {
-            CovarianceModel::Full => {
-                for r in 0..m - 1 {
-                    let diag = rho1_scaled + other(r);
-                    let row = out.row_mut(r);
-                    for (c, entry) in row.iter_mut().enumerate() {
-                        *entry = if r == c { diag } else { rho1_scaled };
-                    }
-                }
-            }
-            CovarianceModel::DiagonalOnly => {
-                for r in 0..m - 1 {
-                    out.row_mut(r)[r] = rho1_scaled + other(r);
-                }
-            }
-            CovarianceModel::Identity => {
-                for r in 0..m - 1 {
-                    out.row_mut(r)[r] = 1.0;
-                }
-            }
-            CovarianceModel::ElevationScaled => {
-                // Per-satellite variance weight from the elevation budget
-                // (same 1/sin(el) shape as the receiver-noise model).
-                let weight = |el: Option<f64>| {
-                    el.map_or(1.0, |e: f64| {
-                        let clamped = e.clamp(3.0f64.to_radians(), std::f64::consts::FRAC_PI_2);
-                        1.0 / clamped.sin()
-                    })
-                };
-                let w1 = weight(elevations[base_index]);
-                for r in 0..m - 1 {
-                    let j = if r < base_index { r } else { r + 1 };
-                    let diag = w1 * rho1_scaled + weight(elevations[j]) * other(r);
-                    let row = out.row_mut(r);
-                    for (c, entry) in row.iter_mut().enumerate() {
-                        *entry = if r == c { diag } else { w1 * rho1_scaled };
-                    }
-                }
-            }
-        }
+        let (psi, diag) = self.decompose(sys);
+        psi.fill_dense(sys.a.rows(), diag, out);
     }
 
     /// The structured decomposition of the covariance:
@@ -267,192 +286,51 @@ impl Dlg {
     /// GLS-path ablation and for tests.
     #[must_use]
     pub fn covariance_rank1(&self, sys: &LinearSystem) -> (f64, Vec<f64>) {
-        let mut diag = vec![0.0; sys.corrected_ranges.len() - 1];
-        let rank1 = self.covariance_rank1_into(
-            &sys.corrected_ranges,
-            &sys.elevations,
-            sys.base_index,
-            &mut diag,
-        );
-        (rank1, diag)
+        let (psi, diag) = self.decompose(sys);
+        (psi.rank1, diag.collect())
     }
 
-    /// Core of [`Dlg::covariance_rank1`], operating on the raw
-    /// linearization buffers: fills `diag` (length `m − 1`, row order as
-    /// in [`Dlg::covariance_into`]) and returns the rank-one weight.
-    /// Shared verbatim by the heap and stack lanes, so the two compute
-    /// bit-identical decompositions.
+    /// The dense ablation lanes: materialize the design matrix and Ψ in
+    /// the context's buffers and hand them to `lstsq::gls_into`.
     // lint: no_alloc
-    pub(crate) fn covariance_rank1_into(
+    fn solve_dense<'e>(
         &self,
-        corrected_ranges: &[f64],
-        elevations: &[Option<f64>],
-        base_index: usize,
-        diag: &mut [f64],
-    ) -> f64 {
-        let m = corrected_ranges.len();
-        debug_assert_eq!(
-            diag.len(),
-            m - 1,
-            "diag must hold one entry per differenced row"
-        );
-        let rho1 = corrected_ranges[base_index];
-        let rho1_sq = rho1 * rho1;
-        // Scale Ψ by the squared mean range: GLS is scale-invariant, and
-        // normalizing keeps the arithmetic well inside f64 range (raw
-        // entries would be ~10¹⁴).
-        let scale = 1.0 / rho1_sq.max(1.0);
-        let rho1_scaled = rho1_sq * scale;
-        // Diagonal term for differenced row r, from the original input.
-        let other = |r: usize| {
-            let j = if r < base_index { r } else { r + 1 };
-            corrected_ranges[j] * corrected_ranges[j] * scale
-        };
-        match self.covariance {
-            CovarianceModel::Full => {
-                for (r, d) in diag.iter_mut().enumerate() {
-                    *d = other(r);
-                }
-                rho1_scaled
-            }
-            CovarianceModel::DiagonalOnly => {
-                for (r, d) in diag.iter_mut().enumerate() {
-                    *d = rho1_scaled + other(r);
-                }
-                0.0
-            }
-            CovarianceModel::Identity => {
-                diag.fill(1.0);
-                0.0
-            }
-            CovarianceModel::ElevationScaled => {
-                // Per-satellite variance weight from the elevation budget
-                // (same 1/sin(el) shape as the receiver-noise model).
-                let weight = |el: Option<f64>| {
-                    el.map_or(1.0, |e: f64| {
-                        let clamped = e.clamp(3.0f64.to_radians(), std::f64::consts::FRAC_PI_2);
-                        1.0 / clamped.sin()
-                    })
-                };
-                let w1 = weight(elevations[base_index]);
-                for (r, d) in diag.iter_mut().enumerate() {
-                    let j = if r < base_index { r } else { r + 1 };
-                    *d = weight(elevations[j]) * other(r);
-                }
-                w1 * rho1_scaled
-            }
-        }
-    }
-
-    /// Stack mirror of [`Dlg::covariance_into`]: same entry formulas and
-    /// fill order on an [`SMat`] with `m − 1` active rows.
-    // lint: no_alloc
-    fn covariance_stack(
-        &self,
-        corrected_ranges: &[f64],
-        elevations: &[Option<f64>],
-        base_index: usize,
-    ) -> SMat<STACK_M_CAP, STACK_M_CAP> {
-        let m = corrected_ranges.len();
-        let rho1 = corrected_ranges[base_index];
-        let rho1_sq = rho1 * rho1;
-        // Scale Ψ by the squared mean range: GLS is scale-invariant, and
-        // normalizing keeps the Cholesky well inside f64 range (raw
-        // entries would be ~10¹⁴).
-        let scale = 1.0 / rho1_sq.max(1.0);
-        let rho1_scaled = rho1_sq * scale;
-        // Diagonal term for differenced row r, from the original input.
-        let other = |r: usize| {
-            let j = if r < base_index { r } else { r + 1 };
-            corrected_ranges[j] * corrected_ranges[j] * scale
-        };
-        let mut out = SMat::zeroed(m - 1);
-        match self.covariance {
-            CovarianceModel::Full => {
-                for r in 0..m - 1 {
-                    let diag = rho1_scaled + other(r);
-                    let row = out.row_mut(r);
-                    for (c, entry) in row[..m - 1].iter_mut().enumerate() {
-                        *entry = if r == c { diag } else { rho1_scaled };
-                    }
-                }
-            }
-            CovarianceModel::DiagonalOnly => {
-                for r in 0..m - 1 {
-                    out.row_mut(r)[r] = rho1_scaled + other(r);
-                }
-            }
-            CovarianceModel::Identity => {
-                for r in 0..m - 1 {
-                    out.row_mut(r)[r] = 1.0;
-                }
-            }
-            CovarianceModel::ElevationScaled => {
-                // Per-satellite variance weight from the elevation budget
-                // (same 1/sin(el) shape as the receiver-noise model).
-                let weight = |el: Option<f64>| {
-                    el.map_or(1.0, |e: f64| {
-                        let clamped = e.clamp(3.0f64.to_radians(), std::f64::consts::FRAC_PI_2);
-                        1.0 / clamped.sin()
-                    })
-                };
-                let w1 = weight(elevations[base_index]);
-                for r in 0..m - 1 {
-                    let j = if r < base_index { r } else { r + 1 };
-                    let diag = w1 * rho1_scaled + weight(elevations[j]) * other(r);
-                    let row = out.row_mut(r);
-                    for (c, entry) in row[..m - 1].iter_mut().enumerate() {
-                        *entry = if r == c { diag } else { w1 * rho1_scaled };
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Stack-kernel fast lane: linearize, decompose (or build) Ψ, and
-    /// solve with every intermediate on the stack. Bit-identical to the
-    /// heap lane. [`GlsPath::DenseExplicit`] never routes here (it is an
-    /// allocating ablation reference; the dispatch in [`crate::Solver`]
-    /// keeps it on the heap lane).
-    // lint: no_alloc
-    fn solve_stack(&self, epoch: &crate::Epoch<'_>) -> Result<Solution, SolveError> {
-        let m = epoch.len();
-        let sys = crate::dlo::linearize_stack(
+        epoch: &crate::Epoch<'e>,
+        ctx: &mut crate::SolveContext,
+    ) -> Result<(Linearization<'e>, Ecef), SolveError> {
+        let lin = crate::dlo::linearize_into(
             epoch.measurements,
             epoch.predicted_receiver_bias_m,
             self.base,
+            &mut ctx.geometry,
+            &mut ctx.rhs,
         )?;
-        let step = match self.gls {
-            GlsPath::Structured => {
-                let mut diag = [0.0f64; STACK_M_CAP];
-                let rank1 = self.covariance_rank1_into(
-                    &sys.corrected[..m],
-                    &sys.elevations[..m],
-                    sys.base_index,
-                    &mut diag[..m - 1],
-                );
-                stack::gls3_rank1(&sys.a, &sys.d, rank1, &diag[..m - 1])?
-            }
-            GlsPath::DenseWhitened | GlsPath::DenseExplicit => {
-                let mut cov = self.covariance_stack(
-                    &sys.corrected[..m],
-                    &sys.elevations[..m],
-                    sys.base_index,
-                );
-                stack::gls3(&sys.a, &sys.d, &mut cov)?
-            }
+        let psi = Psi::new(self.covariance, lin.rho1, lin.base.elevation);
+        let rows = ctx.rhs.len();
+        let diag = lin.rows().map(|row| psi.diag(row.rho, row.elevation));
+        // Covariance-assembly time costs more to observe than the fill.
+        if gps_telemetry::detail() {
+            let start = std::time::Instant::now();
+            psi.fill_dense(rows, diag, &mut ctx.covariance);
+            instrument::dlg_cov_assembly().record(start.elapsed().as_secs_f64() * 1e6);
+        } else {
+            psi.fill_dense(rows, diag, &mut ctx.covariance);
+        }
+        let strategy = if self.gls == GlsPath::DenseWhitened {
+            GlsStrategy::Whitened
+        } else {
+            GlsStrategy::ExplicitInverse
         };
-        let position = Ecef::new(step[0], step[1], step[2]);
-        let rms = crate::dlo::residual_rms_scaled_stack(
-            &sys.a,
-            &sys.d,
-            &sys.corrected[..m],
-            sys.base_index,
-            position,
-        );
-        instrument::dlg_solves().inc();
-        Ok(Solution::new(position, None, 1, rms))
+        lstsq::gls_into(
+            &ctx.geometry,
+            &ctx.rhs,
+            &ctx.covariance,
+            strategy,
+            &mut ctx.lstsq,
+            &mut ctx.step,
+        )?;
+        let position = Ecef::new(ctx.step[0], ctx.step[1], ctx.step[2]);
+        Ok((lin, position))
     }
 }
 
@@ -466,99 +344,39 @@ impl crate::Solver for Dlg {
         epoch: &crate::Epoch<'_>,
         ctx: &mut crate::SolveContext,
     ) -> Result<Solution, SolveError> {
-        // DenseExplicit is the allocating faithful-to-the-text ablation
-        // reference; it has no stack mirror and always runs the heap lane.
-        if crate::solver::stack_lane(ctx, epoch.len()) && self.gls != GlsPath::DenseExplicit {
-            return self.solve_stack(epoch);
-        }
-        let base_index = crate::dlo::linearize_into(
-            epoch.measurements,
-            epoch.predicted_receiver_bias_m,
-            self.base,
-            &mut ctx.geometry,
-            &mut ctx.rhs,
-            &mut ctx.corrected_ranges,
-            &mut ctx.elevations,
-        )?;
-        // Covariance-assembly time and the design-matrix condition number
-        // both cost more to observe than DLG costs to run; gate them.
-        let detail = gps_telemetry::detail();
-        match self.gls {
+        let (lin, position) = match self.gls {
             GlsPath::Structured => {
-                // The structured lane never assembles Ψ: the O(m²) fill
-                // (and the core.dlg.cov_assembly_us metric that timed it)
-                // is dense-lane-only now.
-                let m = ctx.corrected_ranges.len();
-                ctx.cov_diag.clear();
-                ctx.cov_diag.resize(m - 1, 0.0);
-                let rank1 = self.covariance_rank1_into(
-                    &ctx.corrected_ranges,
-                    &ctx.elevations,
-                    base_index,
-                    &mut ctx.cov_diag,
-                );
-                lstsq::gls_rank1_into(
-                    &ctx.geometry,
-                    &ctx.rhs,
-                    rank1,
-                    &ctx.cov_diag,
-                    &mut ctx.lstsq,
-                    &mut ctx.step,
+                let lin = Linearization::new(
+                    epoch.measurements,
+                    epoch.predicted_receiver_bias_m,
+                    self.base,
                 )?;
-            }
-            GlsPath::DenseWhitened | GlsPath::DenseExplicit => {
-                if detail {
-                    let start = std::time::Instant::now();
-                    self.covariance_into(
-                        &ctx.corrected_ranges,
-                        &ctx.elevations,
-                        base_index,
-                        &mut ctx.covariance,
-                    );
-                    instrument::dlg_cov_assembly().record(start.elapsed().as_secs_f64() * 1e6);
-                } else {
-                    self.covariance_into(
-                        &ctx.corrected_ranges,
-                        &ctx.elevations,
-                        base_index,
-                        &mut ctx.covariance,
-                    );
+                let psi = Psi::new(self.covariance, lin.rho1, lin.base.elevation);
+                let mut normal = Rank1Normal3::new();
+                for row in lin.rows() {
+                    normal.add_row(row.a, row.d, psi.diag(row.rho, row.elevation));
                 }
-                let strategy = if self.gls == GlsPath::DenseWhitened {
-                    GlsStrategy::Whitened
-                } else {
-                    GlsStrategy::ExplicitInverse
-                };
-                lstsq::gls_into(
-                    &ctx.geometry,
-                    &ctx.rhs,
-                    &ctx.covariance,
-                    strategy,
-                    &mut ctx.lstsq,
-                    &mut ctx.step,
-                )?;
+                let [x, y, z] = normal.solve_cramer(psi.rank1)?;
+                (lin, Ecef::new(x, y, z))
             }
-        }
-        let position = Ecef::new(ctx.step[0], ctx.step[1], ctx.step[2]);
-        let rms = crate::dlo::residual_rms_scaled(
-            &ctx.geometry,
-            &ctx.rhs,
-            &ctx.corrected_ranges,
-            base_index,
-            position,
-        );
+            GlsPath::DenseWhitened | GlsPath::DenseExplicit => self.solve_dense(epoch, ctx)?,
+        };
+        let rms = lin.residual_rms(position);
         instrument::dlg_solves().inc();
-        if detail {
-            if let Some(kappa) = instrument::design_condition_number(&ctx.geometry) {
-                instrument::dlg_condition().record(kappa);
-                if gps_telemetry::enabled(Level::Debug) {
-                    Event::new(Level::Debug, "core.dlg", "solved")
-                        .with("condition_number", kappa)
-                        .with("base_index", base_index)
-                        .with("residual_rms_m", rms)
-                        .emit();
-                }
+        // The condition number of the (unweighted) design matrix is a
+        // detail observation: one more pass over the rows for AᵀA.
+        if gps_telemetry::detail() {
+            let mut design = NormalEquations::<3, 1>::new();
+            for row in lin.rows() {
+                design.add_row(row.a, [row.d]);
             }
+            instrument::observe_design_condition(
+                instrument::dlg_condition(),
+                "core.dlg",
+                design.gram(),
+                lin.base_index,
+                rms,
+            );
         }
         Ok(Solution::new(position, None, 1, rms))
     }

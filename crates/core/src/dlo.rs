@@ -1,18 +1,17 @@
 use gps_geodesy::Ecef;
-use gps_linalg::stack::{self, SMat, SVec};
-use gps_linalg::{lstsq, Matrix, Vector, STACK_M_CAP};
+use gps_linalg::{Matrix, NormalEquations, Vector};
 
 use crate::instrument;
 use crate::measurement::validate;
 use crate::{BaseSelection, Measurement, Solution, SolveError};
-use gps_telemetry::{Event, Level};
 
 /// The directly linearized trilateration system `A·Xᵉ = Dᵉ` of the paper's
 /// eq. 4-8, before any least-squares estimator is applied.
 ///
 /// Shared by [`Dlo`] (OLS, eq. 4-12) and [`crate::Dlg`] (GLS, eq. 4-21);
 /// exposed publicly so callers can inspect the geometry or plug in their
-/// own estimator.
+/// own estimator. The solvers themselves never materialize it: they fold
+/// the same rows straight into their normal equations.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinearSystem {
     /// The `(m−1) × 3` design matrix of eq. 4-9: row `j` is
@@ -51,203 +50,159 @@ pub fn linearize(
 ) -> Result<LinearSystem, SolveError> {
     let mut a = Matrix::default();
     let mut d = Vector::default();
-    let mut corrected_ranges = Vec::new();
-    let mut elevations = Vec::new();
-    let base_index = linearize_into(
+    let lin = linearize_into(
         measurements,
         predicted_receiver_bias_m,
         base,
         &mut a,
         &mut d,
-        &mut corrected_ranges,
-        &mut elevations,
     )?;
     Ok(LinearSystem {
         a,
         d,
-        base_index,
-        corrected_ranges,
-        elevations,
+        base_index: lin.base_index,
+        corrected_ranges: measurements
+            .iter()
+            .map(|meas| meas.pseudorange - predicted_receiver_bias_m)
+            .collect(),
+        elevations: measurements.iter().map(|meas| meas.elevation).collect(),
     })
 }
 
-/// [`linearize`] with caller-provided buffers: fills `a`, `d`,
-/// `corrected_ranges` and `elevations` in place (reusing their
-/// capacity) and returns the selected base index. The hot path behind
-/// both direct solvers' [`crate::Solver`] impls.
-pub(crate) fn linearize_into(
-    measurements: &[Measurement],
+/// [`linearize`] into caller-provided buffers: fills `a` and `d` in place
+/// (reusing their capacity) from [`Linearization::rows`] and returns the
+/// linearization. Serves [`linearize`] and DLG's dense GLS lanes.
+pub(crate) fn linearize_into<'a>(
+    measurements: &'a [Measurement],
     predicted_receiver_bias_m: f64,
     base: BaseSelection,
     a: &mut Matrix,
     d: &mut Vector,
-    corrected_ranges: &mut Vec<f64>,
-    elevations: &mut Vec<Option<f64>>,
-) -> Result<usize, SolveError> {
-    validate(measurements, 4)?;
-    if !predicted_receiver_bias_m.is_finite() {
-        return Err(SolveError::NonFinite);
+) -> Result<Linearization<'a>, SolveError> {
+    let lin = Linearization::new(measurements, predicted_receiver_bias_m, base)?;
+    let rows = measurements.len() - 1;
+    a.resize_zeroed(rows, 3);
+    d.resize_zeroed(rows);
+    for (r, (row, dv)) in lin.rows().zip(d.as_mut_slice()).enumerate() {
+        a.row_mut(r).copy_from_slice(&row.a);
+        *dv = row.d;
     }
-    let base_index = base.select(measurements);
-    let m = measurements.len();
-    if gps_telemetry::detail() {
-        instrument::base_index().record(base_index as f64);
+    Ok(lin)
+}
+
+/// One differenced equation `j ≠ base` of the direct linearization.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Row {
+    /// Design-matrix row of eq. 4-9: `sⱼ − s₁`.
+    pub(crate) a: [f64; 3],
+    /// Right-hand-side entry of eq. 4-11.
+    pub(crate) d: f64,
+    /// Clock-corrected pseudorange `ρᴱⱼ` of satellite `j` (eq. 4-1).
+    pub(crate) rho: f64,
+    /// Elevation annotation of satellite `j`.
+    pub(crate) elevation: Option<f64>,
+}
+
+/// The direct linearization of one epoch as a row source: the validated
+/// measurements, the bias prediction and the base satellite. Every row
+/// of `A·Xᵉ = Dᵉ` is recomputed on demand from them, so a solver folds
+/// the rows into its normal equations and recomputes them for the
+/// residual without ever storing an `(m−1)`-sized buffer.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Linearization<'a> {
+    measurements: &'a [Measurement],
+    bias: f64,
+    /// Which input measurement serves as the base.
+    pub(crate) base_index: usize,
+    /// The base measurement itself.
+    pub(crate) base: Measurement,
+    /// The base's clock-corrected pseudorange `ρᴱ₁`.
+    pub(crate) rho1: f64,
+    s1_norm_sq: f64,
+}
+
+impl<'a> Linearization<'a> {
+    /// Validates the epoch and selects the base satellite.
+    ///
+    /// # Errors
+    ///
+    /// * [`SolveError::TooFewSatellites`] for fewer than 4 measurements.
+    /// * [`SolveError::NonFinite`] for NaN/∞ input or bias prediction.
+    // lint: no_alloc
+    pub(crate) fn new(
+        measurements: &'a [Measurement],
+        predicted_receiver_bias_m: f64,
+        base: BaseSelection,
+    ) -> Result<Self, SolveError> {
+        validate(measurements, 4)?;
+        if !predicted_receiver_bias_m.is_finite() {
+            return Err(SolveError::NonFinite);
+        }
+        let base_index = base.select(measurements);
+        if gps_telemetry::detail() {
+            instrument::base_index().record(base_index as f64);
+        }
+        let base = measurements[base_index];
+        Ok(Linearization {
+            measurements,
+            bias: predicted_receiver_bias_m,
+            base_index,
+            base,
+            rho1: base.pseudorange - predicted_receiver_bias_m,
+            s1_norm_sq: base.position.norm_squared(),
+        })
     }
 
-    corrected_ranges.clear();
-    corrected_ranges.extend(
+    /// The `m − 1` differenced rows, in input order with the base
+    /// skipped.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = Row> + 'a {
+        let Linearization {
+            measurements,
+            bias,
+            base_index,
+            base,
+            rho1,
+            s1_norm_sq,
+        } = *self;
+        let s1 = base.position;
         measurements
             .iter()
-            .map(|meas| meas.pseudorange - predicted_receiver_bias_m),
-    );
-    elevations.clear();
-    elevations.extend(measurements.iter().map(|m| m.elevation));
+            .enumerate()
+            .filter(move |&(j, _)| j != base_index)
+            .map(move |(_, meas)| {
+                let sj = meas.position;
+                let rho = meas.pseudorange - bias;
+                Row {
+                    a: [sj.x - s1.x, sj.y - s1.y, sj.z - s1.z],
+                    d: 0.5 * ((sj.norm_squared() - s1_norm_sq) - (rho * rho - rho1 * rho1)),
+                    rho,
+                    elevation: meas.elevation,
+                }
+            })
+    }
 
-    let s1 = measurements[base_index].position;
-    let rho1 = corrected_ranges[base_index];
-    let s1_norm_sq = s1.norm_squared();
-
-    a.resize_zeroed(m - 1, 3);
-    d.resize_zeroed(m - 1);
-    let mut row = 0;
-    for (j, meas) in measurements.iter().enumerate() {
-        if j == base_index {
-            continue;
+    /// RMS of the linear-system residual `A·x − d`, normalized to a
+    /// per-equation range-domain scale.
+    ///
+    /// The raw residual lives in the squared-range domain of eq. 4-11
+    /// (`dⱼ` is built from `ρⱼ²`), so its magnitude scales with the
+    /// pseudoranges themselves: a δ-metre measurement error perturbs row
+    /// `j` by `∂dⱼ/∂ρⱼ·δ = −ρⱼ·δ`. Dividing each component by its row's
+    /// corrected range converts the residual back to equivalent metres of
+    /// pseudorange, making [`crate::Solution::residual_rms`] comparable
+    /// across NR, Bancroft and the direct methods — which is what RAIM
+    /// thresholds and validation gates assume.
+    // lint: no_alloc
+    pub(crate) fn residual_rms(&self, x: Ecef) -> f64 {
+        let mut sum = 0.0;
+        for row in self.rows() {
+            let [ax, ay, az] = row.a;
+            let component = row.d - (ax * x.x + ay * x.y + az * x.z);
+            let scale = row.rho.abs().max(1.0);
+            sum += (component / scale).powi(2);
         }
-        let sj = meas.position;
-        let rhoj = corrected_ranges[j];
-        let r = a.row_mut(row);
-        r[0] = sj.x - s1.x;
-        r[1] = sj.y - s1.y;
-        r[2] = sj.z - s1.z;
-        d[row] = 0.5 * ((sj.norm_squared() - s1_norm_sq) - (rhoj * rhoj - rho1 * rho1));
-        row += 1;
+        (sum / (self.measurements.len() - 1) as f64).sqrt()
     }
-    Ok(base_index)
-}
-
-/// The direct linearization gathered into stack storage: the fast-lane
-/// counterpart of [`linearize_into`] for epochs under the
-/// [`STACK_M_CAP`] satellite cap. `Copy`, a few hundred bytes, no heap
-/// traffic at any point.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct StackLinearization {
-    /// The `(m−1) × 3` design matrix of eq. 4-9.
-    pub(crate) a: SMat<STACK_M_CAP, 3>,
-    /// The right-hand side of eq. 4-11.
-    pub(crate) d: SVec<STACK_M_CAP>,
-    /// Clock-corrected pseudoranges, input order (`m` active entries).
-    pub(crate) corrected: [f64; STACK_M_CAP],
-    /// Elevation annotations, input order (`m` active entries).
-    pub(crate) elevations: [Option<f64>; STACK_M_CAP],
-    /// Which input measurement served as the base.
-    pub(crate) base_index: usize,
-}
-
-/// Stack mirror of [`linearize_into`]: identical validation order and
-/// identical per-entry arithmetic, so the gathered system is bit-equal
-/// to the heap one. Callers guarantee `measurements.len() ≤
-/// STACK_M_CAP` (the lane dispatch does).
-// lint: no_alloc
-pub(crate) fn linearize_stack(
-    measurements: &[Measurement],
-    predicted_receiver_bias_m: f64,
-    base: BaseSelection,
-) -> Result<StackLinearization, SolveError> {
-    validate(measurements, 4)?;
-    if !predicted_receiver_bias_m.is_finite() {
-        return Err(SolveError::NonFinite);
-    }
-    let base_index = base.select(measurements);
-    let m = measurements.len();
-
-    let mut sys = StackLinearization {
-        a: SMat::zeroed(m - 1),
-        d: SVec::zeroed(m - 1),
-        corrected: [0.0; STACK_M_CAP],
-        elevations: [None; STACK_M_CAP],
-        base_index,
-    };
-    for (i, meas) in measurements.iter().enumerate() {
-        sys.corrected[i] = meas.pseudorange - predicted_receiver_bias_m;
-        sys.elevations[i] = meas.elevation;
-    }
-
-    let s1 = measurements[base_index].position;
-    let rho1 = sys.corrected[base_index];
-    let s1_norm_sq = s1.norm_squared();
-
-    let mut row = 0;
-    for (j, meas) in measurements.iter().enumerate() {
-        if j == base_index {
-            continue;
-        }
-        let sj = meas.position;
-        let rhoj = sys.corrected[j];
-        let r = sys.a.row_mut(row);
-        r[0] = sj.x - s1.x;
-        r[1] = sj.y - s1.y;
-        r[2] = sj.z - s1.z;
-        sys.d.as_mut_slice()[row] =
-            0.5 * ((sj.norm_squared() - s1_norm_sq) - (rhoj * rhoj - rho1 * rho1));
-        row += 1;
-    }
-    Ok(sys)
-}
-
-/// Stack mirror of [`residual_rms_scaled`]: same per-row operations on
-/// the stack-resident system.
-// lint: no_alloc
-pub(crate) fn residual_rms_scaled_stack(
-    a: &SMat<STACK_M_CAP, 3>,
-    d: &SVec<STACK_M_CAP>,
-    corrected_ranges: &[f64],
-    base_index: usize,
-    x: Ecef,
-) -> f64 {
-    let rows = a.rows();
-    let mut sum = 0.0;
-    for r in 0..rows {
-        let row = a.row(r);
-        let component = d.as_slice()[r] - (row[0] * x.x + row[1] * x.y + row[2] * x.z);
-        let j = if r < base_index { r } else { r + 1 };
-        let scale = corrected_ranges[j].abs().max(1.0);
-        sum += (component / scale).powi(2);
-    }
-    (sum / rows as f64).sqrt()
-}
-
-/// RMS of the linear-system residual `A·x − d`, normalized to a
-/// per-equation range-domain scale.
-///
-/// The raw residual lives in the squared-range domain of eq. 4-11
-/// (`dⱼ` is built from `ρⱼ²`), so its magnitude scales with the
-/// pseudoranges themselves: a δ-metre measurement error perturbs row `j`
-/// by `∂dⱼ/∂ρⱼ·δ = −ρⱼ·δ`. Dividing each component by its row's
-/// corrected range converts the residual back to equivalent metres of
-/// pseudorange, making [`crate::Solution::residual_rms`] comparable
-/// across NR, Bancroft and the direct methods — which is what RAIM
-/// thresholds and validation gates assume.
-/// Operates on the raw linearization buffers (row `r` of `a`/`d`
-/// corresponds to input measurement `r` when `r < base_index`, else
-/// `r + 1`) and performs no allocation.
-pub(crate) fn residual_rms_scaled(
-    a: &Matrix,
-    d: &Vector,
-    corrected_ranges: &[f64],
-    base_index: usize,
-    x: Ecef,
-) -> f64 {
-    let rows = a.rows();
-    let mut sum = 0.0;
-    for r in 0..rows {
-        let row = a.row(r);
-        let component = d[r] - (row[0] * x.x + row[1] * x.y + row[2] * x.z);
-        let j = if r < base_index { r } else { r + 1 };
-        let scale = corrected_ranges[j].abs().max(1.0);
-        sum += (component / scale).powi(2);
-    }
-    (sum / rows as f64).sqrt()
 }
 
 /// Algorithm **DLO**: Direct Linearization with the Ordinary Least Squares
@@ -262,6 +217,10 @@ pub(crate) fn residual_rms_scaled(
 /// 3. the closed-form OLS solution `Xᵉ = (AᵀA)⁻¹AᵀDᵉ` (eq. 4-12) is
 ///    returned. **One shot — no iteration**, which is where the paper's
 ///    ~5× speedup over NR comes from.
+///
+/// The solve folds each differenced row into the 3×3 normal equations as
+/// it is formed, runs Cramer's rule, then recomputes the rows for the
+/// residual: no buffer grows with the satellite count.
 ///
 /// # Example
 ///
@@ -292,163 +251,6 @@ impl Dlo {
     pub fn base_selection(&self) -> BaseSelection {
         self.base
     }
-
-    /// Stack-kernel fast lane: the same mathematics as the heap path in
-    /// [`crate::Solver::solve`] with every intermediate on the stack.
-    /// Bit-identical to the heap lane (pinned by `tests/solver_contract.rs`).
-    // lint: no_alloc
-    fn solve_stack(&self, epoch: &crate::Epoch<'_>) -> Result<Solution, SolveError> {
-        let sys = linearize_stack(
-            epoch.measurements,
-            epoch.predicted_receiver_bias_m,
-            self.base,
-        )?;
-        let step = stack::ols3(&sys.a, &sys.d)?;
-        let position = Ecef::new(step[0], step[1], step[2]);
-        let rms = residual_rms_scaled_stack(
-            &sys.a,
-            &sys.d,
-            &sys.corrected[..epoch.len()],
-            sys.base_index,
-            position,
-        );
-        instrument::dlo_solves().inc();
-        Ok(Solution::new(position, None, 1, rms))
-    }
-
-    /// Structure-of-arrays lock-step solve: all lanes of a same-shape
-    /// block gathered lane-inner and pushed through one row loop, so
-    /// the normal-equation accumulation autovectorizes *across epochs*.
-    ///
-    /// Per-lane operation order is exactly [`Dlo::solve_stack`]'s — the
-    /// loop interchange reorders work between lanes, never within one —
-    /// so every lane's result (and error) is bit-identical to the
-    /// per-epoch path.
-    // lint: no_alloc
-    fn solve_block_soa(
-        &self,
-        block: &crate::EpochBlock<'_>,
-        out: &mut Vec<Result<Solution, SolveError>>,
-    ) {
-        use crate::block::BLOCK_LANES;
-        use gps_linalg::LinalgError;
-
-        let lanes = block.lanes();
-        let m = block.measurements_per_epoch();
-
-        // Per-lane scalar gather (validation and base selection are
-        // inherently per-epoch); padded lanes get an error that is never
-        // read.
-        let sys: [Result<StackLinearization, SolveError>; BLOCK_LANES] =
-            core::array::from_fn(|l| {
-                if l < lanes {
-                    let epoch = block.epoch(l);
-                    linearize_stack(
-                        epoch.measurements,
-                        epoch.predicted_receiver_bias_m,
-                        self.base,
-                    )
-                } else {
-                    Err(SolveError::NonFinite)
-                }
-            });
-
-        // SoA transpose: row-major per lane → lane-inner per row, so the
-        // accumulation loop below reads contiguous `[f64; BLOCK_LANES]`
-        // vectors. Failed lanes stay zeroed (harmless arithmetic).
-        let rows = m - 1;
-        let mut ax = [[0.0_f64; BLOCK_LANES]; STACK_M_CAP];
-        let mut ay = [[0.0_f64; BLOCK_LANES]; STACK_M_CAP];
-        let mut az = [[0.0_f64; BLOCK_LANES]; STACK_M_CAP];
-        let mut dd = [[0.0_f64; BLOCK_LANES]; STACK_M_CAP];
-        for (l, lane_sys) in sys.iter().enumerate().take(lanes) {
-            if let Ok(s) = lane_sys {
-                for r in 0..rows {
-                    let row = s.a.row(r);
-                    ax[r][l] = row[0];
-                    ay[r][l] = row[1];
-                    az[r][l] = row[2];
-                    dd[r][l] = s.d.as_slice()[r];
-                }
-            }
-        }
-
-        // Lock-step normal-equation accumulation: per lane this adds the
-        // same products to the same accumulators in the same row order as
-        // the scalar `stack::ols3`, so each lane's sums are bit-equal.
-        let mut g00 = [0.0_f64; BLOCK_LANES];
-        let mut g01 = [0.0_f64; BLOCK_LANES];
-        let mut g02 = [0.0_f64; BLOCK_LANES];
-        let mut g11 = [0.0_f64; BLOCK_LANES];
-        let mut g12 = [0.0_f64; BLOCK_LANES];
-        let mut g22 = [0.0_f64; BLOCK_LANES];
-        let mut c0 = [0.0_f64; BLOCK_LANES];
-        let mut c1 = [0.0_f64; BLOCK_LANES];
-        let mut c2 = [0.0_f64; BLOCK_LANES];
-        for r in 0..rows {
-            let (x, y, z, w) = (&ax[r], &ay[r], &az[r], &dd[r]);
-            for l in 0..BLOCK_LANES {
-                g00[l] += x[l] * x[l];
-                g01[l] += x[l] * y[l];
-                g02[l] += x[l] * z[l];
-                g11[l] += y[l] * y[l];
-                g12[l] += y[l] * z[l];
-                g22[l] += z[l] * z[l];
-                c0[l] += x[l] * w[l];
-                c1[l] += y[l] * w[l];
-                c2[l] += z[l] * w[l];
-            }
-        }
-
-        // Per-lane epilogue: the scalar ols3 input check, singular test,
-        // Cramer solve and residual — identical statements, lane data.
-        for (l, lane_sys) in sys.into_iter().enumerate().take(lanes) {
-            let s = match lane_sys {
-                Ok(s) => s,
-                Err(e) => {
-                    out.push(Err(e));
-                    continue;
-                }
-            };
-            // Mirror of `stack::check_kernel` for this shape: the shape
-            // arms cannot fire (m ≥ 4 ⇒ rows ≥ 3, d is built alongside
-            // a), leaving only the finiteness scan.
-            let finite =
-                s.a.active_rows()
-                    .iter()
-                    .all(|row| row.iter().all(|v| v.is_finite()))
-                    && s.d.as_slice().iter().all(|v| v.is_finite());
-            if !finite {
-                out.push(Err(LinalgError::NonFinite.into()));
-                continue;
-            }
-            let det = g00[l] * (g11[l] * g22[l] - g12[l] * g12[l])
-                - g01[l] * (g01[l] * g22[l] - g12[l] * g02[l])
-                + g02[l] * (g01[l] * g12[l] - g11[l] * g02[l]);
-            let scale = [g00[l], g11[l], g22[l]].into_iter().fold(0.0f64, f64::max);
-            if det.abs() <= 1e-13 * scale * scale * scale.max(f64::MIN_POSITIVE) {
-                out.push(Err(LinalgError::Singular.into()));
-                continue;
-            }
-            let x0 = (c0[l] * (g11[l] * g22[l] - g12[l] * g12[l])
-                - g01[l] * (c1[l] * g22[l] - g12[l] * c2[l])
-                + g02[l] * (c1[l] * g12[l] - g11[l] * c2[l]))
-                / det;
-            let x1 = (g00[l] * (c1[l] * g22[l] - c2[l] * g12[l])
-                - c0[l] * (g01[l] * g22[l] - g12[l] * g02[l])
-                + g02[l] * (g01[l] * c2[l] - c1[l] * g02[l]))
-                / det;
-            let x2 = (g00[l] * (g11[l] * c2[l] - g12[l] * c1[l])
-                - g01[l] * (g01[l] * c2[l] - c1[l] * g02[l])
-                + c0[l] * (g01[l] * g12[l] - g11[l] * g02[l]))
-                / det;
-            let position = Ecef::new(x0, x1, x2);
-            let rms =
-                residual_rms_scaled_stack(&s.a, &s.d, &s.corrected[..m], s.base_index, position);
-            instrument::dlo_solves().inc();
-            out.push(Ok(Solution::new(position, None, 1, rms)));
-        }
-    }
 }
 
 // Implemented without importing `Solver`, so `.solve(&meas, bias)` in
@@ -459,66 +261,31 @@ impl crate::Solver for Dlo {
     fn solve(
         &self,
         epoch: &crate::Epoch<'_>,
-        ctx: &mut crate::SolveContext,
+        _ctx: &mut crate::SolveContext,
     ) -> Result<Solution, SolveError> {
-        if crate::solver::stack_lane(ctx, epoch.len()) {
-            return self.solve_stack(epoch);
-        }
-        let base_index = linearize_into(
+        let lin = Linearization::new(
             epoch.measurements,
             epoch.predicted_receiver_bias_m,
             self.base,
-            &mut ctx.geometry,
-            &mut ctx.rhs,
-            &mut ctx.corrected_ranges,
-            &mut ctx.elevations,
         )?;
-        lstsq::ols_into(&ctx.geometry, &ctx.rhs, &mut ctx.lstsq, &mut ctx.step)?;
-        let position = Ecef::new(ctx.step[0], ctx.step[1], ctx.step[2]);
-        let rms = residual_rms_scaled(
-            &ctx.geometry,
-            &ctx.rhs,
-            &ctx.corrected_ranges,
-            base_index,
-            position,
-        );
+        let mut normal = NormalEquations::<3, 1>::new();
+        for row in lin.rows() {
+            normal.add_row(row.a, [row.d]);
+        }
+        let [x, y, z] = normal.solve_cramer()?;
+        let position = Ecef::new(x, y, z);
+        let rms = lin.residual_rms(position);
         instrument::dlo_solves().inc();
-        // The eigendecomposition behind the condition number costs more
-        // than the solve itself (and allocates); only observe it when
-        // detail is on.
         if gps_telemetry::detail() {
-            if let Some(kappa) = instrument::design_condition_number(&ctx.geometry) {
-                instrument::dlo_condition().record(kappa);
-                if gps_telemetry::enabled(Level::Debug) {
-                    Event::new(Level::Debug, "core.dlo", "solved")
-                        .with("condition_number", kappa)
-                        .with("base_index", base_index)
-                        .with("residual_rms_m", rms)
-                        .emit();
-                }
-            }
+            instrument::observe_design_condition(
+                instrument::dlo_condition(),
+                "core.dlo",
+                normal.gram(),
+                lin.base_index,
+                rms,
+            );
         }
         Ok(Solution::new(position, None, 1, rms))
-    }
-
-    // lint: no_alloc
-    fn solve_block(
-        &self,
-        block: &crate::EpochBlock<'_>,
-        ctx: &mut crate::SolveContext,
-        out: &mut Vec<Result<Solution, SolveError>>,
-    ) {
-        if !crate::solver::stack_lane(ctx, block.measurements_per_epoch()) {
-            // Heap lane (cap exceeded, detail telemetry, or explicitly
-            // disabled): the scalar loop preserves exact semantics.
-            instrument::block_fallback().inc();
-            for epoch in block.epochs() {
-                out.push(crate::Solver::solve(self, &epoch, ctx));
-            }
-            return;
-        }
-        instrument::block_solves().inc();
-        self.solve_block_soa(block, out);
     }
 
     fn name(&self) -> &'static str {
@@ -538,6 +305,7 @@ impl crate::Solver for Dlo {
 mod tests {
     use super::*;
     use crate::PositionSolver;
+    use gps_linalg::lstsq;
 
     fn sats() -> Vec<Ecef> {
         vec![

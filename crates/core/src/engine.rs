@@ -266,12 +266,12 @@ impl Engine {
     /// Feeds one same-shape [`EpochBlock`] to every lane; returns how
     /// many lane-epochs solved (up to `lanes × block.lanes()`).
     ///
-    /// Solvers with a structure-of-arrays kernel (DLO) solve the block
-    /// lock-step; the rest loop the scalar path. Per-epoch results and
-    /// statistics are identical to feeding the epochs one at a time
-    /// through [`Engine::run_epoch`] — with timing on, the per-lane
-    /// `core.lane_solve_us.*` histogram records the block's *mean*
-    /// per-epoch latency once per block instead of one sample per epoch.
+    /// Each solver runs its per-epoch kernel over the block's lanes, so
+    /// per-epoch results and statistics are identical to feeding the
+    /// epochs one at a time through [`Engine::run_epoch`] — with timing
+    /// on, the per-lane `core.lane_solve_us.*` histogram records the
+    /// block's *mean* per-epoch latency once per block instead of one
+    /// sample per epoch.
     // lint: no_alloc
     pub fn run_block(&mut self, block: &EpochBlock<'_>) -> usize {
         instrument::block_lanes().record(block.lanes() as f64);
@@ -453,7 +453,7 @@ mod tests {
     fn block_mode_matches_per_epoch_feeding() {
         // Mixed shapes and a failing epoch: the blocked run must tally
         // and report exactly what per-epoch feeding does, at any block
-        // size, including the SoA DLO lane.
+        // size.
         let base = measurements(0.0);
         let stream: Vec<EpochJob> = [6usize, 6, 6, 4, 5, 5, 3, 6, 6, 6, 6, 6]
             .iter()

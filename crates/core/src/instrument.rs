@@ -11,7 +11,7 @@
 use std::sync::OnceLock;
 
 use gps_linalg::{Matrix, SymmetricEigen};
-use gps_telemetry::{Counter, Histogram};
+use gps_telemetry::{Counter, Event, Histogram, Level};
 
 macro_rules! cached_metric {
     ($fn_name:ident, Counter, $name:literal) => {
@@ -39,7 +39,6 @@ cached_metric!(dlg_condition, Histogram, "core.dlg.condition_number");
 cached_metric!(dlg_cov_assembly, Histogram, "core.dlg.cov_assembly_us");
 cached_metric!(base_index, Histogram, "core.base.selected_index");
 cached_metric!(block_lanes, Histogram, "core.block.lanes");
-cached_metric!(block_solves, Counter, "core.block.solves");
 cached_metric!(block_fallback, Counter, "core.block.fallback");
 cached_metric!(raim_exclusions, Counter, "core.raim.exclusions");
 cached_metric!(resilient_nominal, Counter, "core.resilient.nominal");
@@ -74,19 +73,45 @@ pub(crate) fn resilient_fix_quality(name: &'static str) -> &'static Counter {
     }
 }
 
-/// 2-norm condition number of the design matrix `A`, via the symmetric
-/// eigendecomposition of its 3×3 Gram matrix: `κ₂(A) = √κ₂(AᵀA)`.
-/// `None` when the geometry is too degenerate for the QL iteration.
-pub(crate) fn design_condition_number(a: &Matrix) -> Option<f64> {
-    SymmetricEigen::new(&a.gram())
+/// 2-norm condition number of a design matrix `A` from its 3×3 Gram
+/// matrix `AᵀA`, via the symmetric eigendecomposition:
+/// `κ₂(A) = √κ₂(AᵀA)`. `None` when the geometry is too degenerate for
+/// the QL iteration.
+pub(crate) fn design_condition_number(gram: [[f64; 3]; 3]) -> Option<f64> {
+    let [r0, r1, r2] = gram;
+    let gram = Matrix::from_rows(&[&r0, &r1, &r2]).ok()?;
+    SymmetricEigen::new(&gram)
         .ok()
         .map(|eig| eig.condition_number().sqrt())
+}
+
+/// Detail observation shared by the direct solvers: records the design
+/// matrix's condition number (from its Gram matrix `AᵀA`) in
+/// `histogram` and, at debug level, emits a `solved` event on `target`.
+/// The eigendecomposition costs more than the solve and allocates, so
+/// callers gate this on [`gps_telemetry::detail`].
+pub(crate) fn observe_design_condition(
+    histogram: &Histogram,
+    target: &'static str,
+    gram: [[f64; 3]; 3],
+    base_index: usize,
+    residual_rms_m: f64,
+) {
+    if let Some(kappa) = design_condition_number(gram) {
+        histogram.record(kappa);
+        if gps_telemetry::enabled(Level::Debug) {
+            Event::new(Level::Debug, target, "solved")
+                .with("condition_number", kappa)
+                .with("base_index", base_index)
+                .with("residual_rms_m", residual_rms_m)
+                .emit();
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gps_linalg::Matrix;
 
     #[test]
     fn handles_are_cached_and_live() {
@@ -100,7 +125,9 @@ mod tests {
 
     #[test]
     fn condition_number_matches_known_matrix() {
-        // Diagonal design matrix: singular values are the entries.
+        // Diagonal design matrix diag(3, 2, 1) padded with a zero row:
+        // its singular values are the entries, its Gram matrix their
+        // squares.
         let a = Matrix::from_rows(&[
             &[3.0, 0.0, 0.0],
             &[0.0, 2.0, 0.0],
@@ -108,7 +135,9 @@ mod tests {
             &[0.0, 0.0, 0.0],
         ])
         .unwrap();
-        let kappa = design_condition_number(&a).unwrap();
+        let g = a.gram();
+        let gram = [0, 1, 2].map(|r| [0, 1, 2].map(|c| g[(r, c)]));
+        let kappa = design_condition_number(gram).unwrap();
         assert!((kappa - 3.0).abs() < 1e-9, "kappa {kappa}");
     }
 }

@@ -1,11 +1,9 @@
 use gps_geodesy::Ecef;
-use gps_linalg::lstsq;
-use gps_linalg::stack::{self, SMat, SVec};
-use gps_linalg::STACK_M_CAP;
+use gps_linalg::NormalEquations;
 
 use crate::instrument;
 use crate::measurement::validate;
-use crate::{Solution, SolveError};
+use crate::{Measurement, Solution, SolveError};
 use gps_telemetry::{Event, Level};
 
 /// The classic Newton–Raphson GPS solver (paper §3.4) — the baseline every
@@ -16,7 +14,9 @@ use gps_telemetry::{Event, Level};
 /// repeated first-order Taylor linearization: each step solves the linear
 /// system of eq. 3-26 — by **ordinary least squares** when over-determined
 /// (`m > 4`), as the paper's Step 4 prescribes — and iterates until the
-/// update is below tolerance.
+/// update is below tolerance. Each iteration folds the Jacobian rows
+/// straight into the 4×4 normal equations, so no buffer grows with the
+/// satellite count.
 ///
 /// The default configuration follows the paper: initial solution
 /// `(0, 0, 0, 0)` (eq. 3-27, the Earth's center), stopping when the
@@ -133,118 +133,6 @@ impl NewtonRaphson {
     pub fn tolerance_m(&self) -> f64 {
         self.tolerance_m
     }
-
-    /// Stack-kernel fast lane: the same Newton iteration with the
-    /// Jacobian, right-hand side and weights in stack storage and each
-    /// step solved by the const-generic kernels. Bit-identical to the
-    /// heap lane iterate for iterate.
-    // lint: no_alloc
-    fn solve_stack(&self, epoch: &crate::Epoch<'_>) -> Result<Solution, SolveError> {
-        let measurements = epoch.measurements;
-        validate(measurements, 4)?;
-        let m = measurements.len();
-
-        let mut pos = self.initial_position;
-        // A caller-supplied bias prediction is a better initial guess than
-        // zero; NR still refines it as an unknown.
-        let mut bias = if epoch.predicted_receiver_bias_m != 0.0 {
-            epoch.predicted_receiver_bias_m
-        } else {
-            self.initial_bias_m
-        };
-
-        let mut geometry = SMat::<STACK_M_CAP, 4>::zeroed(m);
-        let mut rhs = SVec::<STACK_M_CAP>::zeroed(m);
-        let mut weights = [0.0_f64; STACK_M_CAP];
-
-        for iteration in 1..=self.max_iterations {
-            // Build P and the Jacobian at the current iterate (eq. 3-24 and
-            // 3-20..3-23: ∂Pᵢ/∂x = (xᵉ−xᵢ)/ℜᵢ, ∂Pᵢ/∂εᴿ = 1).
-            for (i, meas) in measurements.iter().enumerate() {
-                let delta = pos - meas.position;
-                let range = delta.norm();
-                if range < 1.0 {
-                    // Iterate collided with a satellite: geometry is
-                    // hopeless from this start.
-                    instrument::nr_nonconvergence().inc();
-                    return Err(SolveError::NonConvergence {
-                        iterations: iteration,
-                        residual: f64::INFINITY,
-                    });
-                }
-                let p_i = range - meas.pseudorange + bias;
-                rhs.as_mut_slice()[i] = -p_i;
-                let row = geometry.row_mut(i);
-                row[0] = delta.x / range;
-                row[1] = delta.y / range;
-                row[2] = delta.z / range;
-                row[3] = 1.0;
-            }
-
-            // Step 4: solve eq. 3-26 by OLS (exact solve when m = 4), or
-            // by weighted LS when elevation weighting is configured.
-            let step = match self.weighting {
-                Weighting::Uniform => stack::ols4(&geometry, &rhs)?,
-                Weighting::SinSquaredElevation => {
-                    for (w, meas) in weights[..m].iter_mut().zip(measurements) {
-                        *w = meas
-                            .elevation
-                            .map_or(1.0, |el| (el.sin() * el.sin()).max(1e-3));
-                    }
-                    stack::wls4(&geometry, &rhs, &weights[..m])?
-                }
-            };
-
-            pos += Ecef::new(step[0], step[1], step[2]);
-            bias += step[3];
-
-            if !pos.is_finite() || !bias.is_finite() {
-                instrument::nr_nonconvergence().inc();
-                return Err(SolveError::NonConvergence {
-                    iterations: iteration,
-                    residual: f64::INFINITY,
-                });
-            }
-
-            // Same fold as `Vector::norm_inf`, NaN semantics included.
-            let step_norm_inf = step.iter().fold(0.0_f64, |acc, x| acc.max(x.abs()));
-            if step_norm_inf < self.tolerance_m {
-                // Converged: report the residual RMS at the accepted
-                // iterate.
-                let mut sum_sq = 0.0;
-                for meas in measurements {
-                    let r = (pos - meas.position).norm() - meas.pseudorange + bias;
-                    sum_sq += r * r;
-                }
-                let residual_rms = (sum_sq / m as f64).sqrt();
-                instrument::nr_solves().inc();
-                instrument::nr_iterations().record(iteration as f64);
-                instrument::nr_residual_rms().record(residual_rms);
-                return Ok(Solution::new(pos, Some(bias), iteration, residual_rms));
-            }
-        }
-
-        let residual = measurements
-            .iter()
-            .map(|meas| {
-                let r = (pos - meas.position).norm() - meas.pseudorange + bias;
-                r * r
-            })
-            .sum::<f64>()
-            .sqrt();
-        instrument::nr_nonconvergence().inc();
-        if gps_telemetry::enabled(Level::Warn) {
-            Event::new(Level::Warn, "core.nr", "did not converge")
-                .with("iterations", self.max_iterations)
-                .with("residual_m", residual)
-                .with("satellites", m)
-                .emit();
-        }
-        Err(SolveError::NonConvergence {
-            iterations: self.max_iterations,
-            residual,
-        })
-    }
 }
 
 impl Default for NewtonRaphson {
@@ -255,6 +143,15 @@ impl Default for NewtonRaphson {
     }
 }
 
+/// The `sin²(elevation)` weight of one equation, floored at 10⁻³; 1
+/// without an elevation annotation. Validated elevations are finite, so
+/// every weight lies in `[10⁻³, 1]` and weighted least squares' guard
+/// against non-positive weights can never fire.
+fn sin_squared_weight(meas: &Measurement) -> f64 {
+    meas.elevation
+        .map_or(1.0, |el| (el.sin() * el.sin()).max(1e-3))
+}
+
 // Implemented without importing `Solver`, so `.solve(&meas, bias)` in
 // this module (and in `use super::*` tests) still resolves through
 // `PositionSolver` unambiguously.
@@ -263,11 +160,8 @@ impl crate::Solver for NewtonRaphson {
     fn solve(
         &self,
         epoch: &crate::Epoch<'_>,
-        ctx: &mut crate::SolveContext,
+        _ctx: &mut crate::SolveContext,
     ) -> Result<Solution, SolveError> {
-        if crate::solver::stack_lane(ctx, epoch.len()) {
-            return self.solve_stack(epoch);
-        }
         let measurements = epoch.measurements;
         validate(measurements, 4)?;
         let m = measurements.len();
@@ -281,13 +175,15 @@ impl crate::Solver for NewtonRaphson {
             self.initial_bias_m
         };
 
-        ctx.geometry.resize_zeroed(m, 4);
-        ctx.rhs.resize_zeroed(m);
-
         for iteration in 1..=self.max_iterations {
             // Build P and the Jacobian at the current iterate (eq. 3-24 and
-            // 3-20..3-23: ∂Pᵢ/∂x = (xᵉ−xᵢ)/ℜᵢ, ∂Pᵢ/∂εᴿ = 1).
-            for (i, meas) in measurements.iter().enumerate() {
+            // 3-20..3-23: ∂Pᵢ/∂x = (xᵉ−xᵢ)/ℜᵢ, ∂Pᵢ/∂εᴿ = 1) and fold each
+            // row into the normal equations of Step 4 (eq. 3-26): OLS
+            // (exact solve when m = 4), or weighted LS — rows and
+            // right-hand side scaled by √w — when elevation weighting is
+            // configured.
+            let mut normal = NormalEquations::<4, 1>::new();
+            for meas in measurements {
                 let delta = pos - meas.position;
                 let range = delta.norm();
                 if range < 1.0 {
@@ -300,38 +196,20 @@ impl crate::Solver for NewtonRaphson {
                     });
                 }
                 let p_i = range - meas.pseudorange + bias;
-                ctx.rhs[i] = -p_i;
-                let row = ctx.geometry.row_mut(i);
-                row[0] = delta.x / range;
-                row[1] = delta.y / range;
-                row[2] = delta.z / range;
-                row[3] = 1.0;
-            }
-
-            // Step 4: solve eq. 3-26 by OLS (exact solve when m = 4), or
-            // by weighted LS when elevation weighting is configured.
-            match self.weighting {
-                Weighting::Uniform => {
-                    lstsq::ols_into(&ctx.geometry, &ctx.rhs, &mut ctx.lstsq, &mut ctx.step)?;
-                }
-                Weighting::SinSquaredElevation => {
-                    ctx.weights.clear();
-                    ctx.weights.extend(measurements.iter().map(|meas| {
-                        meas.elevation
-                            .map_or(1.0, |el| (el.sin() * el.sin()).max(1e-3))
-                    }));
-                    lstsq::wls_into(
-                        &ctx.geometry,
-                        &ctx.rhs,
-                        &ctx.weights,
-                        &mut ctx.lstsq,
-                        &mut ctx.step,
-                    )?;
+                let row = [delta.x / range, delta.y / range, delta.z / range, 1.0];
+                match self.weighting {
+                    Weighting::Uniform => normal.add_row(row, [-p_i]),
+                    Weighting::SinSquaredElevation => {
+                        let s = sin_squared_weight(meas).sqrt();
+                        normal.add_row(row.map(|v| v * s), [-p_i * s]);
+                    }
                 }
             }
+            let [step] = normal.solve_cholesky()?;
+            let [dx, dy, dz, db] = step;
 
-            pos += Ecef::new(ctx.step[0], ctx.step[1], ctx.step[2]);
-            bias += ctx.step[3];
+            pos += Ecef::new(dx, dy, dz);
+            bias += db;
 
             if !pos.is_finite() || !bias.is_finite() {
                 instrument::nr_nonconvergence().inc();
@@ -341,7 +219,9 @@ impl crate::Solver for NewtonRaphson {
                 });
             }
 
-            if ctx.step.norm_inf() < self.tolerance_m {
+            // Infinity norm of the update, NaN-ignoring like `f64::max`.
+            let step_norm_inf = step.iter().fold(0.0_f64, |acc, x| acc.max(x.abs()));
+            if step_norm_inf < self.tolerance_m {
                 // Converged: report the residual RMS at the accepted
                 // iterate.
                 let mut sum_sq = 0.0;

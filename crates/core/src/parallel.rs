@@ -452,8 +452,8 @@ impl ParallelEngine {
 
     /// Block-mode [`ParallelEngine::run_shared`]: workers claim
     /// `block_size` consecutive epochs per cursor bump, split each
-    /// claim into same-shape [`EpochBlock`]s and solve them lock-step
-    /// via [`WorkerLanes::solve_block_into`]. Results are still sent
+    /// claim into same-shape [`EpochBlock`]s and solve them through
+    /// [`WorkerLanes::solve_block_into`]. Results are still sent
     /// and merged **per epoch**, so the returned [`ParallelRun`] is
     /// bit-for-bit identical to [`ParallelEngine::run_shared`]'s for
     /// any `block_size` and worker count (pinned by

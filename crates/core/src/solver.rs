@@ -10,14 +10,17 @@
 //!   SolveContext)` entry point plus capability metadata
 //!   ([`Solver::estimates_bias`], [`Solver::is_iterative`]), object-safe
 //!   so ladders and engines can hold `Vec<Box<dyn Solver>>`.
-//! * [`SolveContext`] owns every scratch buffer the four solvers need
-//!   (geometry matrix, right-hand sides, GLS covariance, normal
-//!   equations, RAIM workspaces). Buffers are resized in place with
-//!   [`Matrix::resize_zeroed`]/[`Vector::resize_zeroed`], so after the
-//!   first epoch warms the capacities up, the steady-state hot path
+//! * [`SolveContext`] is the per-lane scratch handle. The four default
+//!   solvers need none of it: each folds its measurement rows straight
+//!   into fixed-size normal equations ([`gps_linalg::NormalEquations`])
+//!   and recomputes the rows for its residual, so no buffer grows with
+//!   the satellite count and every solve, the first one included,
 //!   performs **zero heap allocations** (with detail telemetry off —
 //!   condition-number observation is gated behind
-//!   [`gps_telemetry::detail`] precisely because it allocates).
+//!   [`gps_telemetry::detail`] precisely because it allocates). The
+//!   context keeps only RAIM's subset workspaces and the buffers of
+//!   DLG's dense GLS ablation lanes, which materialize the `m × m`
+//!   covariance on purpose.
 //!
 //! The pre-existing [`PositionSolver`] trait remains the simple
 //! allocating API: a blanket impl forwards it to [`Solver`] with a
@@ -88,96 +91,39 @@ pub(crate) struct RaimScratch {
 
 /// Owned scratch buffers for the [`Solver`] hot path.
 ///
-/// One context serves any number of solvers sequentially (the buffers
-/// are resized per call), but a context must not be shared *between
-/// concurrent* solves — give each lane/thread its own. Buffer ownership
-/// rules:
+/// One context serves any number of solvers sequentially, but a context
+/// must not be shared *between concurrent* solves — give each
+/// lane/thread its own. Buffer ownership rules:
 ///
 /// * The solver may leave buffers in any state; callers must not read
 ///   results out of the context (the returned [`Solution`] is the only
 ///   output).
-/// * Buffers only grow. After the first call at a given satellite
-///   count, subsequent calls at the same or smaller counts allocate
-///   nothing.
-/// * `Default`/[`SolveContext::new`] starts with zero capacity: the
-///   first epoch pays the allocations once ("warm-up").
+/// * Buffers only grow. The default solvers touch none of them; the
+///   dense GLS ablation lanes size theirs on first use, after which
+///   solves at the same or smaller satellite counts allocate nothing.
+/// * `Default`/[`SolveContext::new`] starts with zero capacity.
 #[derive(Debug, Clone, Default)]
 pub struct SolveContext {
-    /// Design matrix: NR Jacobian (m×4), DLO/DLG differenced geometry
-    /// ((m−1)×3), Bancroft `B` (m×4).
+    /// Differenced design matrix `A` ((m−1)×3) of the dense GLS lanes.
     pub(crate) geometry: Matrix,
-    /// Primary right-hand side (NR `−P`, DLO/DLG `Dᵉ`, Bancroft `r`).
+    /// Right-hand side `Dᵉ` of the dense GLS lanes.
     pub(crate) rhs: Vector,
-    /// Secondary right-hand side (Bancroft's all-ones vector).
-    pub(crate) rhs_aux: Vector,
-    /// Primary least-squares solution buffer.
+    /// Least-squares solution buffer of the dense GLS lanes.
     pub(crate) step: Vector,
-    /// Secondary solution buffer (Bancroft's `B⁺e`).
-    pub(crate) step_aux: Vector,
-    /// Per-measurement weights (NR elevation weighting).
-    pub(crate) weights: Vec<f64>,
-    /// Clock-corrected pseudoranges `ρᴱᵢ` (eq. 4-1), input order.
-    pub(crate) corrected_ranges: Vec<f64>,
-    /// Elevation annotations, input order.
-    pub(crate) elevations: Vec<Option<f64>>,
-    /// DLG covariance `Ψ` (eq. 4-26), factored in place by GLS
-    /// (dense ablation lanes only — the structured default never builds it).
+    /// Dense DLG covariance `Ψ` (eq. 4-26), factored in place by GLS.
     pub(crate) covariance: Matrix,
-    /// Diagonal part of the structured Ψ decomposition
-    /// `Ψ = ρ₁²·𝟙𝟙ᵀ + diag(d)` (DLG's Sherman–Morrison lane).
-    pub(crate) cov_diag: Vec<f64>,
-    /// Normal equations / whitening scratch for `gps_linalg::lstsq`.
+    /// Whitening scratch for `gps_linalg::lstsq::gls_into`.
     pub(crate) lstsq: LstsqScratch,
     /// RAIM fault-exclusion workspaces.
     pub(crate) raim: RaimScratch,
-    /// When set, solves take the heap lane even under the stack kernels'
-    /// m-cap. Default unset: the stack lane is on (the two lanes are
-    /// bit-identical, so this is purely a performance/measurement knob).
-    heap_only: bool,
 }
 
 impl SolveContext {
-    /// Creates an empty context; the first solve sizes the buffers.
+    /// Creates an empty context.
     #[must_use]
     pub fn new() -> Self {
         SolveContext::default()
     }
-
-    /// Whether the stack-kernel fast lane is enabled (default: yes).
-    ///
-    /// With the lane enabled, solvers route epochs of at most
-    /// [`gps_linalg::STACK_M_CAP`] measurements through the
-    /// const-generic stack kernels of [`gps_linalg::stack`] — no heap
-    /// traffic at all, not even warm-up — and fall back to the heap
-    /// scratch buffers above the cap. Results are bit-for-bit identical
-    /// either way; disabling the lane exists for benchmarks that measure
-    /// the heap path and for parity tests.
-    #[must_use]
-    pub fn stack_kernels(&self) -> bool {
-        !self.heap_only
-    }
-
-    /// Enables or disables the stack-kernel fast lane.
-    pub fn set_stack_kernels(&mut self, enabled: bool) {
-        self.heap_only = !enabled;
-    }
-
-    /// Builder-style [`SolveContext::set_stack_kernels`].
-    #[must_use]
-    pub fn with_stack_kernels(mut self, enabled: bool) -> Self {
-        self.set_stack_kernels(enabled);
-        self
-    }
-}
-
-/// Lane dispatch shared by the four solvers: the stack fast lane runs
-/// when the context allows it, the epoch fits under the
-/// [`gps_linalg::STACK_M_CAP`] cap, and detail telemetry is off (the
-/// detail observations — condition numbers, covariance-assembly timing —
-/// are wired to the heap buffers; both lanes are bit-identical, so
-/// falling back costs nothing but speed).
-pub(crate) fn stack_lane(ctx: &SolveContext, m: usize) -> bool {
-    ctx.stack_kernels() && m <= gps_linalg::STACK_M_CAP && !gps_telemetry::detail()
 }
 
 /// Common hot-path interface over the positioning algorithms.
@@ -202,12 +148,11 @@ pub trait Solver: fmt::Debug + Send + Sync {
     /// Solves every lane of a same-shape [`EpochBlock`], appending one
     /// result per lane to `out` in lane order (callers clear `out`).
     ///
-    /// The default implementation loops [`Solver::solve`], so every
-    /// solver accepts block feeding; solvers with a structure-of-arrays
-    /// lock-step kernel ([`crate::Dlo`]) override it. Either way each
-    /// lane's result is **bit-for-bit identical** to a per-epoch
-    /// [`Solver::solve`] of the same lane — block mode is a throughput
-    /// knob, never a semantics knob.
+    /// The provided implementation loops [`Solver::solve`] over the
+    /// lanes, so each lane's result is **bit-for-bit identical** to a
+    /// per-epoch solve of the same lane — block mode batches the feeding
+    /// (one call per block for engines, pool workers and the service's
+    /// batch drains), never the semantics.
     // lint: no_alloc
     fn solve_block(
         &self,
@@ -254,17 +199,6 @@ impl<S: Solver + ?Sized> Solver for &S {
         (**self).solve(epoch, ctx)
     }
 
-    // Forwarded explicitly: the provided default would loop `solve` and
-    // silently bypass the inner solver's SoA override.
-    fn solve_block(
-        &self,
-        block: &EpochBlock<'_>,
-        ctx: &mut SolveContext,
-        out: &mut Vec<Result<Solution, SolveError>>,
-    ) {
-        (**self).solve_block(block, ctx, out);
-    }
-
     fn name(&self) -> &'static str {
         (**self).name()
     }
@@ -289,17 +223,6 @@ impl<S: Solver + ?Sized> Solver for &S {
 impl<S: Solver + ?Sized> Solver for Box<S> {
     fn solve(&self, epoch: &Epoch<'_>, ctx: &mut SolveContext) -> Result<Solution, SolveError> {
         (**self).solve(epoch, ctx)
-    }
-
-    // Forwarded explicitly: the provided default would loop `solve` and
-    // silently bypass the inner solver's SoA override.
-    fn solve_block(
-        &self,
-        block: &EpochBlock<'_>,
-        ctx: &mut SolveContext,
-        out: &mut Vec<Result<Solution, SolveError>>,
-    ) {
-        (**self).solve_block(block, ctx, out);
     }
 
     fn name(&self) -> &'static str {

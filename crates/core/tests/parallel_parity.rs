@@ -1,11 +1,8 @@
-//! Parallel-engine parity: any worker count, any claim order, and —
-//! since the SoA refactor — any `block_size` must produce outcomes
-//! bit-for-bit identical to a serial sweep of the same stream.
+//! Parallel-engine parity: any worker count, any claim order and any
+//! `block_size` must produce outcomes bit-for-bit identical to a serial
+//! sweep of the same stream.
 
-use gps_core::{
-    Bancroft, Dlg, Dlo, Epoch, EpochJob, Measurement, NewtonRaphson, ParallelEngine, SolveContext,
-    Solver,
-};
+use gps_core::{Epoch, EpochJob, Measurement, ParallelEngine, SolveContext, Solver};
 use gps_geodesy::Geodetic;
 use gps_pool::ThreadPool;
 use gps_rng::rngs::StdRng;
@@ -100,35 +97,6 @@ fn blocked_run_is_bit_identical_to_serial_and_shared() {
                 assert_eq!(b.solved, s.solved, "lane {lane} solved");
                 assert_eq!(b.failed, s.failed, "lane {lane} failed");
             }
-        }
-    }
-}
-
-#[test]
-fn blocked_run_with_heap_only_lanes_matches_stack_lanes() {
-    // The block path must not change results even when the SoA kernel
-    // is unavailable (heap-only m above the cap would fall back the
-    // same way): compare stack-lane block run against a heap-lane
-    // serial sweep.
-    let stream = Arc::new(mixed_stream(22));
-    let engine = ParallelEngine::new()
-        .with_solver(Box::new(Dlo::default()))
-        .with_solver(Box::new(Dlg::default()))
-        .with_solver(Box::new(NewtonRaphson::default()))
-        .with_solver(Box::new(Bancroft));
-    let pool = ThreadPool::new(2);
-    let blocked = engine.run_blocked(&pool, Arc::clone(&stream), 8);
-
-    let mut heap_ctxs: Vec<SolveContext> = engine
-        .solvers()
-        .iter()
-        .map(|_| SolveContext::new().with_stack_kernels(false))
-        .collect();
-    for (i, job) in stream.iter().enumerate() {
-        let epoch = Epoch::new(&job.measurements, job.predicted_receiver_bias_m);
-        for (lane, solver) in engine.solvers().iter().enumerate() {
-            let heap = solver.solve(&epoch, &mut heap_ctxs[lane]);
-            assert_eq!(blocked.outcomes[i][lane], heap, "epoch {i} lane {lane}");
         }
     }
 }

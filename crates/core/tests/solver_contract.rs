@@ -1,20 +1,34 @@
-//! The two-lane solver contract: for every solver and every epoch shape
-//! under [`gps_linalg::STACK_M_CAP`], the const-generic stack lane must
-//! be **bit-for-bit** identical to the heap lane — same solutions to the
-//! last ULP, same errors on the same inputs. Above the cap both lanes
-//! are the heap path and must agree trivially.
+//! The solver kernel contract: every solver's single folded kernel must
+//! be **bit-for-bit** identical to an independent reference assembled
+//! from the public allocating API — the materialized `linearize` system
+//! and the `gps_linalg::lstsq` estimators — on every epoch shape, with
+//! the same errors on the same degenerate inputs.
+//!
+//! * DLO: `linearize` + `lstsq::ols3`;
+//! * DLG: `linearize` + `Dlg::covariance_rank1` + `lstsq::gls_rank1`
+//!   (structured), or `Dlg::covariance_matrix` + `lstsq::gls_with`
+//!   (dense ablation lanes);
+//! * NR and Bancroft: the textbook algorithms over dense `Matrix`
+//!   systems and `lstsq::ols` / `lstsq::wls`.
 //!
 //! Seeded xoshiro256++ loops (no proptest in the offline build).
 
 use gps_core::{
-    Bancroft, CovarianceModel, Dlg, Dlo, Epoch, EpochBlock, EpochJob, GlsPath, Measurement,
-    NewtonRaphson, Solution, SolveContext, SolveError, Solver,
+    linearize, Bancroft, BaseSelection, CovarianceModel, Dlg, Dlo, Epoch, EpochBlock, EpochJob,
+    GlsPath, LinearSystem, Measurement, NewtonRaphson, Solution, SolveContext, SolveError, Solver,
+    Weighting,
 };
 use gps_geodesy::{Ecef, Geodetic};
+use gps_linalg::lstsq::{self, GlsStrategy};
+use gps_linalg::{Matrix, Vector};
 use gps_rng::rngs::StdRng;
 use gps_rng::{Rng, SeedableRng};
 
-const CASES: usize = 48;
+const CASES: usize = 24;
+
+/// Satellite counts from the minimum through the large-constellation
+/// regime.
+const SHAPES: [usize; 9] = [4, 5, 6, 8, 12, 16, 17, 24, 40];
 
 fn random_receiver(rng: &mut StdRng) -> Ecef {
     Geodetic::from_deg(
@@ -47,104 +61,343 @@ fn random_epoch(rng: &mut StdRng, m: usize, bias: f64) -> Vec<Measurement> {
 }
 
 /// Bit-level equality: `PartialEq` on f64 would accept `-0.0 == 0.0`
-/// and reject `NaN == NaN`; the lane contract is stronger than both.
-fn assert_bits_eq(stack: &Result<Solution, SolveError>, heap: &Result<Solution, SolveError>) {
-    match (stack, heap) {
-        (Ok(s), Ok(h)) => {
-            assert_eq!(s.position.x.to_bits(), h.position.x.to_bits());
-            assert_eq!(s.position.y.to_bits(), h.position.y.to_bits());
-            assert_eq!(s.position.z.to_bits(), h.position.z.to_bits());
+/// and reject `NaN == NaN`; the kernel contract is stronger than both.
+fn assert_bits_eq(
+    kernel: &Result<Solution, SolveError>,
+    reference: &Result<Solution, SolveError>,
+    what: &str,
+) {
+    match (kernel, reference) {
+        (Ok(k), Ok(r)) => {
+            assert_eq!(k.position.x.to_bits(), r.position.x.to_bits(), "{what}");
+            assert_eq!(k.position.y.to_bits(), r.position.y.to_bits(), "{what}");
+            assert_eq!(k.position.z.to_bits(), r.position.z.to_bits(), "{what}");
             assert_eq!(
-                s.receiver_bias_m.map(f64::to_bits),
-                h.receiver_bias_m.map(f64::to_bits)
+                k.receiver_bias_m.map(f64::to_bits),
+                r.receiver_bias_m.map(f64::to_bits),
+                "{what}"
             );
-            assert_eq!(s.iterations, h.iterations);
-            assert_eq!(s.residual_rms.to_bits(), h.residual_rms.to_bits());
+            assert_eq!(k.iterations, r.iterations, "{what}");
+            assert_eq!(k.residual_rms.to_bits(), r.residual_rms.to_bits(), "{what}");
         }
-        (Err(s), Err(h)) => assert_eq!(s, h),
-        (s, h) => panic!("lane divergence: stack {s:?} vs heap {h:?}"),
+        (Err(k), Err(r)) => assert_eq!(k, r, "{what}"),
+        (k, r) => panic!("{what}: kernel {k:?} vs reference {r:?}"),
     }
 }
 
-fn solvers() -> Vec<Box<dyn Solver>> {
-    vec![
-        Box::new(NewtonRaphson::default()),
-        Box::new(Dlo::default()),
-        // Dlg::default() is the structured Sherman–Morrison lane; the two
-        // dense GLS paths and the non-default covariance shapes are
-        // contract-bound too (DenseExplicit has no stack mirror, so for
-        // it the toggle must be a no-op on every shape).
-        Box::new(Dlg::default()),
-        Box::new(Dlg::default().with_gls_path(GlsPath::DenseWhitened)),
-        Box::new(Dlg::default().with_gls_path(GlsPath::DenseExplicit)),
-        Box::new(Dlg::default().with_covariance_model(CovarianceModel::DiagonalOnly)),
-        Box::new(Dlg::default().with_covariance_model(CovarianceModel::ElevationScaled)),
-        Box::new(Bancroft),
-    ]
+/// The direct solvers' range-normalized residual RMS (see
+/// `Solution::residual_rms`), evaluated on the materialized system.
+fn direct_residual_rms(sys: &LinearSystem, x: Ecef) -> f64 {
+    let rows = sys.a.rows();
+    let mut sum = 0.0;
+    for r in 0..rows {
+        let row = sys.a.row(r);
+        let component = sys.d[r] - (row[0] * x.x + row[1] * x.y + row[2] * x.z);
+        let j = if r < sys.base_index { r } else { r + 1 };
+        let scale = sys.corrected_ranges[j].abs().max(1.0);
+        sum += (component / scale).powi(2);
+    }
+    (sum / rows as f64).sqrt()
+}
+
+fn direct_solution(sys: &LinearSystem, x: &[f64]) -> Solution {
+    let position = Ecef::new(x[0], x[1], x[2]);
+    Solution::new(position, None, 1, direct_residual_rms(sys, position))
+}
+
+fn dlo_reference(
+    meas: &[Measurement],
+    bias: f64,
+    base: BaseSelection,
+) -> Result<Solution, SolveError> {
+    let sys = linearize(meas, bias, base)?;
+    let x = lstsq::ols3(&sys.a, &sys.d)?;
+    Ok(direct_solution(&sys, &x))
+}
+
+fn dlg_reference(meas: &[Measurement], bias: f64, dlg: &Dlg) -> Result<Solution, SolveError> {
+    let sys = linearize(meas, bias, BaseSelection::First)?;
+    let x = match dlg.gls_path() {
+        GlsPath::Structured => {
+            let (rank1, diag) = dlg.covariance_rank1(&sys);
+            lstsq::gls_rank1(&sys.a, &sys.d, rank1, &diag)?
+        }
+        GlsPath::DenseWhitened => lstsq::gls_with(
+            &sys.a,
+            &sys.d,
+            &dlg.covariance_matrix(&sys),
+            GlsStrategy::Whitened,
+        )?,
+        _ => lstsq::gls_with(
+            &sys.a,
+            &sys.d,
+            &dlg.covariance_matrix(&sys),
+            GlsStrategy::ExplicitInverse,
+        )?,
+    };
+    Ok(direct_solution(&sys, x.as_slice()))
+}
+
+/// The input checks every solver starts with.
+fn validate(meas: &[Measurement]) -> Result<(), SolveError> {
+    if meas.len() < 4 {
+        return Err(SolveError::TooFewSatellites {
+            got: meas.len(),
+            need: 4,
+        });
+    }
+    if meas.iter().any(|m| !m.is_finite()) {
+        return Err(SolveError::NonFinite);
+    }
+    Ok(())
+}
+
+/// Sum of squared NR residual functions `Pᵢ` at `(pos, bias)`.
+fn residual_sum_sq(meas: &[Measurement], pos: Ecef, bias: f64) -> f64 {
+    meas.iter()
+        .map(|m| {
+            let r = (pos - m.position).norm() - m.pseudorange + bias;
+            r * r
+        })
+        .sum()
+}
+
+/// Newton–Raphson from the Earth's center (paper §3.4): each iteration
+/// materializes the Jacobian and solves it with `lstsq::ols`, or
+/// `lstsq::wls` under elevation weighting.
+fn nr_reference(
+    meas: &[Measurement],
+    predicted: f64,
+    nr: &NewtonRaphson,
+) -> Result<Solution, SolveError> {
+    validate(meas)?;
+    let m = meas.len();
+    let mut pos = Ecef::ORIGIN;
+    let mut bias = if predicted != 0.0 { predicted } else { 0.0 };
+    for iteration in 1..=nr.max_iterations() {
+        let mut a = Matrix::zeros(m, 4);
+        let mut b = Vector::zeros(m);
+        for (i, s) in meas.iter().enumerate() {
+            let delta = pos - s.position;
+            let range = delta.norm();
+            if range < 1.0 {
+                return Err(SolveError::NonConvergence {
+                    iterations: iteration,
+                    residual: f64::INFINITY,
+                });
+            }
+            b[i] = -(range - s.pseudorange + bias);
+            a.row_mut(i)
+                .copy_from_slice(&[delta.x / range, delta.y / range, delta.z / range, 1.0]);
+        }
+        let step = match nr.weighting() {
+            Weighting::Uniform => lstsq::ols(&a, &b)?,
+            _ => {
+                let weights: Vec<f64> = meas
+                    .iter()
+                    .map(|s| {
+                        s.elevation
+                            .map_or(1.0, |el| (el.sin() * el.sin()).max(1e-3))
+                    })
+                    .collect();
+                lstsq::wls(&a, &b, &weights)?
+            }
+        };
+        pos += Ecef::new(step[0], step[1], step[2]);
+        bias += step[3];
+        if !pos.is_finite() || !bias.is_finite() {
+            return Err(SolveError::NonConvergence {
+                iterations: iteration,
+                residual: f64::INFINITY,
+            });
+        }
+        if step.norm_inf() < nr.tolerance_m() {
+            let rms = (residual_sum_sq(meas, pos, bias) / m as f64).sqrt();
+            return Ok(Solution::new(pos, Some(bias), iteration, rms));
+        }
+    }
+    Err(SolveError::NonConvergence {
+        iterations: nr.max_iterations(),
+        residual: residual_sum_sq(meas, pos, bias).sqrt(),
+    })
+}
+
+/// Bancroft's closed form: `B⁺e` and `B⁺r` by two `lstsq::ols` solves,
+/// then the Lorentz quadratic and the smaller-residual root.
+fn bancroft_reference(meas: &[Measurement]) -> Result<Solution, SolveError> {
+    validate(meas)?;
+    let m = meas.len();
+    let b = Matrix::from_fn(m, 4, |i, c| {
+        let s = &meas[i];
+        [s.position.x, s.position.y, s.position.z, s.pseudorange][c]
+    });
+    let r = Vector::from_fn(m, |i| {
+        let s = &meas[i];
+        0.5 * (s.position.norm_squared() - s.pseudorange * s.pseudorange)
+    });
+    let bplus_e = lstsq::ols(&b, &Vector::from_fn(m, |_| 1.0))?;
+    let bplus_r = lstsq::ols(&b, &r)?;
+    let u = [bplus_e[0], bplus_e[1], bplus_e[2], -bplus_e[3]];
+    let v = [bplus_r[0], bplus_r[1], bplus_r[2], -bplus_r[3]];
+    let lorentz =
+        |p: &[f64; 4], q: &[f64; 4]| p[0] * q[0] + p[1] * q[1] + p[2] * q[2] - p[3] * q[3];
+    let (qa, qb, qc) = (
+        lorentz(&u, &u),
+        2.0 * (lorentz(&u, &v) - 1.0),
+        lorentz(&v, &v),
+    );
+    let mut roots = Vec::new();
+    if qa.abs() < 1e-18 {
+        if qb.abs() < 1e-30 {
+            return Err(SolveError::NoRealRoot);
+        }
+        roots.push(-qc / qb);
+    } else {
+        let disc = qb * qb - 4.0 * qa * qc;
+        if disc < 0.0 {
+            return Err(SolveError::NoRealRoot);
+        }
+        let q = -0.5 * (qb + disc.sqrt().copysign(qb));
+        roots.push(q / qa);
+        if q.abs() > 0.0 {
+            roots.push(qc / q);
+        }
+    }
+    let mut best: Option<Solution> = None;
+    for lambda in roots {
+        let pos = Ecef::new(
+            lambda * u[0] + v[0],
+            lambda * u[1] + v[1],
+            lambda * u[2] + v[2],
+        );
+        let bias = lambda * u[3] + v[3];
+        if !pos.is_finite() || !bias.is_finite() {
+            continue;
+        }
+        let rms = {
+            let sum: f64 = meas
+                .iter()
+                .map(|s| {
+                    let e = s.pseudorange - (pos.distance_to(s.position) + bias);
+                    e * e
+                })
+                .sum();
+            (sum / m as f64).sqrt()
+        };
+        if best.is_none_or(|b| rms < b.residual_rms) {
+            best = Some(Solution::new(pos, Some(bias), 1, rms));
+        }
+    }
+    best.ok_or(SolveError::NoRealRoot)
+}
+
+type Reference = Box<dyn Fn(&[Measurement], f64) -> Result<Solution, SolveError>>;
+
+/// Every solver configuration under contract, paired with its reference.
+fn cases() -> Vec<(Box<dyn Solver>, Reference)> {
+    let mut cases: Vec<(Box<dyn Solver>, Reference)> = Vec::new();
+    for weighting in [Weighting::Uniform, Weighting::SinSquaredElevation] {
+        let nr = NewtonRaphson::default().with_weighting(weighting);
+        cases.push((Box::new(nr), Box::new(move |m, b| nr_reference(m, b, &nr))));
+    }
+    for base in [BaseSelection::First, BaseSelection::HighestElevation] {
+        let dlo = Dlo::default().with_base_selection(base);
+        cases.push((
+            Box::new(dlo),
+            Box::new(move |m, b| dlo_reference(m, b, base)),
+        ));
+    }
+    for model in [
+        CovarianceModel::Full,
+        CovarianceModel::DiagonalOnly,
+        CovarianceModel::Identity,
+        CovarianceModel::ElevationScaled,
+    ] {
+        for path in [
+            GlsPath::Structured,
+            GlsPath::DenseWhitened,
+            GlsPath::DenseExplicit,
+        ] {
+            let dlg = Dlg::default()
+                .with_covariance_model(model)
+                .with_gls_path(path);
+            cases.push((
+                Box::new(dlg),
+                Box::new(move |m, b| dlg_reference(m, b, &dlg)),
+            ));
+        }
+    }
+    cases.push((Box::new(Bancroft), Box::new(|m, _| bancroft_reference(m))));
+    cases
 }
 
 #[test]
-fn stack_lane_is_bit_identical_to_heap_lane() {
-    // m sweeps through the whole stack window and one shape above the
-    // cap (both lanes = heap there; the toggle must still be a no-op).
-    let shapes = [4usize, 5, 6, 8, 12, gps_linalg::STACK_M_CAP, 17];
-    for solver in solvers() {
+fn every_kernel_is_bit_identical_to_its_reference() {
+    for (solver, reference) in cases() {
         let mut rng = StdRng::seed_from_u64(0x57AC_0001);
-        let mut stack_ctx = SolveContext::new();
-        let mut heap_ctx = SolveContext::new().with_stack_kernels(false);
-        for &m in &shapes {
+        let mut ctx = SolveContext::new();
+        for &m in &SHAPES {
             for _ in 0..CASES {
                 let bias = rng.gen_range(-1000.0..1000.0);
                 let predicted = rng.gen_range(-5.0..5.0) + bias;
                 let meas = random_epoch(&mut rng, m, bias);
-                let epoch = Epoch::new(&meas, predicted);
-                let stack = solver.solve(&epoch, &mut stack_ctx);
-                let heap = solver.solve(&epoch, &mut heap_ctx);
-                assert_bits_eq(&stack, &heap);
+                let kernel = solver.solve(&Epoch::new(&meas, predicted), &mut ctx);
+                assert_bits_eq(
+                    &kernel,
+                    &reference(&meas, predicted),
+                    &format!("{} at m = {m}", solver.name()),
+                );
             }
         }
     }
 }
 
 #[test]
-fn lanes_agree_on_degenerate_and_nonfinite_input() {
-    for solver in solvers() {
-        let mut stack_ctx = SolveContext::new();
-        let mut heap_ctx = SolveContext::new().with_stack_kernels(false);
-
-        // Too few satellites.
+fn kernels_match_references_on_degenerate_and_nonfinite_input() {
+    for (solver, reference) in cases() {
+        let mut ctx = SolveContext::new();
+        let mut check = |meas: &[Measurement], predicted: f64, what: &str| {
+            assert_bits_eq(
+                &solver.solve(&Epoch::new(meas, predicted), &mut ctx),
+                &reference(meas, predicted),
+                &format!("{}: {what}", solver.name()),
+            );
+        };
         let mut rng = StdRng::seed_from_u64(0x57AC_0002);
-        let short = random_epoch(&mut rng, 3, 0.0);
-        assert_bits_eq(
-            &solver.solve(&Epoch::new(&short, 0.0), &mut stack_ctx),
-            &solver.solve(&Epoch::new(&short, 0.0), &mut heap_ctx),
-        );
+        check(&random_epoch(&mut rng, 3, 0.0), 0.0, "too few satellites");
 
-        // A NaN pseudorange.
         let mut poisoned = random_epoch(&mut rng, 6, 0.0);
         poisoned[2].pseudorange = f64::NAN;
-        assert_bits_eq(
-            &solver.solve(&Epoch::new(&poisoned, 0.0), &mut stack_ctx),
-            &solver.solve(&Epoch::new(&poisoned, 0.0), &mut heap_ctx),
-        );
+        check(&poisoned, 0.0, "NaN pseudorange");
 
-        // All satellites collapsed to one point (singular geometry).
         let receiver = random_receiver(&mut rng);
         let sat = Ecef::new(2.0e7, 1.0e6, 1.0e7);
         let collapsed: Vec<Measurement> = (0..6)
             .map(|_| Measurement::new(sat, sat.distance_to(receiver)))
             .collect();
-        assert_bits_eq(
-            &solver.solve(&Epoch::new(&collapsed, 0.0), &mut stack_ctx),
-            &solver.solve(&Epoch::new(&collapsed, 0.0), &mut heap_ctx),
+        check(&collapsed, 0.0, "collapsed geometry");
+
+        check(
+            &random_epoch(&mut rng, 7, 25.0),
+            f64::NAN,
+            "NaN bias prediction",
         );
+
+        let mut zeros = random_epoch(&mut rng, 6, 0.0);
+        zeros[3].pseudorange = 0.0;
+        zeros[4].pseudorange = 0.0;
+        check(&zeros, 0.0, "two zero pseudoranges");
     }
+}
+
+fn solvers() -> Vec<Box<dyn Solver>> {
+    cases().into_iter().map(|(solver, _)| solver).collect()
 }
 
 #[test]
 fn solve_block_matches_per_epoch_solve_for_every_solver() {
-    // Block feeding (SoA for DLO, fallback loop elsewhere) must be
-    // bit-identical to scalar feeding, lane by lane.
+    // Block feeding must be bit-identical to scalar feeding, lane by
+    // lane.
     let mut rng = StdRng::seed_from_u64(0x57AC_0003);
     for solver in solvers() {
         let jobs: Vec<EpochJob> = (0..8)
@@ -160,7 +413,7 @@ fn solve_block_matches_per_epoch_solve_for_every_solver() {
                 &Epoch::new(&job.measurements, job.predicted_receiver_bias_m),
                 &mut ctx,
             );
-            assert_bits_eq(&out[lane], &scalar);
+            assert_bits_eq(&out[lane], &scalar, solver.name());
         }
     }
 }

@@ -13,8 +13,9 @@
 //! This crate provides exactly those primitives, built from scratch and
 //! property-tested: a dense row-major [`Matrix`], a dense [`Vector`],
 //! [`LuDecomposition`] with partial pivoting, [`Cholesky`], Householder
-//! [`QrDecomposition`], and the high-level [`lstsq`] solvers
-//! ([`lstsq::ols`], [`lstsq::wls`], [`lstsq::gls`]).
+//! [`QrDecomposition`], the high-level [`lstsq`] solvers
+//! ([`lstsq::ols`], [`lstsq::wls`], [`lstsq::gls`]), and the fixed-size
+//! [`NormalEquations`] the solvers fold their measurement rows into.
 //!
 //! # Example
 //!
@@ -41,8 +42,8 @@ mod error;
 pub mod lstsq;
 mod lu;
 mod matrix;
+mod normal;
 mod qr;
-pub mod stack;
 mod vector;
 
 pub use cholesky::Cholesky;
@@ -50,8 +51,8 @@ pub use eigen::SymmetricEigen;
 pub use error::LinalgError;
 pub use lu::LuDecomposition;
 pub use matrix::Matrix;
+pub use normal::{NormalEquations, Rank1Normal3};
 pub use qr::QrDecomposition;
-pub use stack::{SMat, SVec, STACK_M_CAP};
 pub use vector::Vector;
 
 /// Convenience alias for results returned by this crate.

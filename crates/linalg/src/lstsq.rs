@@ -20,7 +20,9 @@
 //! [`ols_qr`] offers a Householder-QR alternative for the linalg-path
 //! ablation and for ill-conditioned geometry.
 
-use crate::{Cholesky, LinalgError, Matrix, QrDecomposition, Vector};
+use crate::{
+    Cholesky, LinalgError, Matrix, NormalEquations, QrDecomposition, Rank1Normal3, Vector,
+};
 
 /// Reusable scratch buffers for the `*_into` least-squares entry points.
 ///
@@ -174,8 +176,8 @@ fn ols_core(a: &Matrix, b: &Vector, gram: &mut Matrix, x: &mut Vector) -> crate:
     Cholesky::back_substitute(gram, x.as_mut_slice())
 }
 
-/// Ordinary least squares specialized to **three unknowns**: forms the
-/// 3×3 normal equations with scalar accumulators and solves by Cramer's
+/// Ordinary least squares specialized to **three unknowns**: folds the
+/// rows into fixed-size [`NormalEquations`] and solves them by Cramer's
 /// rule — no heap allocation, no factorization loop.
 ///
 /// This is the paper's §6 third extension ("optimize the matrix
@@ -198,40 +200,18 @@ pub fn ols3(a: &Matrix, b: &Vector) -> crate::Result<[f64; 3]> {
         });
     }
     check_system(a, b, "ols3")?;
-    // Accumulate AᵀA (symmetric) and Aᵀb.
-    let (mut g00, mut g01, mut g02, mut g11, mut g12, mut g22) = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0);
-    let (mut c0, mut c1, mut c2) = (0.0, 0.0, 0.0);
-    for r in 0..m {
-        let row = a.row(r);
-        let (x, y, z) = (row[0], row[1], row[2]);
-        let w = b[r];
-        g00 += x * x;
-        g01 += x * y;
-        g02 += x * z;
-        g11 += y * y;
-        g12 += y * z;
-        g22 += z * z;
-        c0 += x * w;
-        c1 += y * w;
-        c2 += z * w;
+    let mut normal = NormalEquations::<3, 1>::new();
+    for (r, &bv) in b.as_slice().iter().enumerate() {
+        normal.add_row(row3(a, r), [bv]);
     }
-    // Cramer's rule on the symmetric 3×3 system.
-    let det = g00 * (g11 * g22 - g12 * g12) - g01 * (g01 * g22 - g12 * g02)
-        + g02 * (g01 * g12 - g11 * g02);
-    let scale = [g00, g11, g22].into_iter().fold(0.0f64, f64::max);
-    if det.abs() <= 1e-13 * scale * scale * scale.max(f64::MIN_POSITIVE) {
-        return Err(LinalgError::Singular);
-    }
-    let x0 = (c0 * (g11 * g22 - g12 * g12) - g01 * (c1 * g22 - g12 * c2)
-        + g02 * (c1 * g12 - g11 * c2))
-        / det;
-    let x1 = (g00 * (c1 * g22 - c2 * g12) - c0 * (g01 * g22 - g12 * g02)
-        + g02 * (g01 * c2 - c1 * g02))
-        / det;
-    let x2 = (g00 * (g11 * c2 - g12 * c1) - g01 * (g01 * c2 - c1 * g02)
-        + c0 * (g01 * g12 - g11 * g02))
-        / det;
-    Ok([x0, x1, x2])
+    normal.solve_cramer()
+}
+
+/// Row `r` of a three-column matrix as an array.
+fn row3(a: &Matrix, r: usize) -> [f64; 3] {
+    let mut row = [0.0; 3];
+    row.copy_from_slice(a.row(r));
+    row
 }
 
 /// Ordinary least squares solved through Householder QR instead of the
@@ -536,6 +516,15 @@ pub fn gls_rank1_into(
             op: "gls_rank1 diagonal",
         });
     }
+    if n == 3 {
+        // The DLG hot shape: one fold, then the Cramer tail.
+        let mut normal = Rank1Normal3::new();
+        for (r, (&bv, &d)) in b.as_slice().iter().zip(diag).enumerate() {
+            normal.add_row(row3(a, r), bv, d);
+        }
+        x.copy_from_slice(&normal.solve_cramer(rank1)?);
+        return Ok(());
+    }
     if !rank1.is_finite() {
         return Err(LinalgError::NonFinite);
     }
@@ -552,83 +541,7 @@ pub fn gls_rank1_into(
     if t <= 0.0 || !t.is_finite() {
         return Err(LinalgError::NotPositiveDefinite { pivot: m - 1 });
     }
-    let gamma = rank1 / t;
-    if n == 3 {
-        let sol = gls3_rank1_core(a, b, gamma, diag)?;
-        x.copy_from_slice(&sol);
-        return Ok(());
-    }
-    gls_rank1_core(a, b, gamma, diag, scratch, x)
-}
-
-/// Three-unknown core of [`gls_rank1_into`] (the DLG hot shape): scalar
-/// accumulators for `AᵀD⁻¹A`, `AᵀD⁻¹b`, `u = AᵀD⁻¹𝟙` and `s = 𝟙ᵀD⁻¹b`,
-/// one rank-one correction, then the same Cramer tail as [`ols3`].
-///
-/// The statement order here is mirrored exactly by
-/// `stack::gls3_rank1`, so the two lanes stay bit-identical.
-// lint: no_alloc
-fn gls3_rank1_core(a: &Matrix, b: &Vector, gamma: f64, diag: &[f64]) -> crate::Result<[f64; 3]> {
-    let m = a.rows();
-    // Accumulate AᵀD⁻¹A (symmetric), AᵀD⁻¹b, AᵀD⁻¹𝟙 and 𝟙ᵀD⁻¹b.
-    let (mut g00, mut g01, mut g02, mut g11, mut g12, mut g22) = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0);
-    let (mut c0, mut c1, mut c2) = (0.0, 0.0, 0.0);
-    let (mut u0, mut u1, mut u2) = (0.0, 0.0, 0.0);
-    let mut s = 0.0;
-    for r in 0..m {
-        let row = a.row(r);
-        let (x, y, z) = (row[0], row[1], row[2]);
-        let bv = b[r];
-        let w = 1.0 / diag[r];
-        g00 += x * x * w;
-        g01 += x * y * w;
-        g02 += x * z * w;
-        g11 += y * y * w;
-        g12 += y * z * w;
-        g22 += z * z * w;
-        c0 += x * bv * w;
-        c1 += y * bv * w;
-        c2 += z * bv * w;
-        u0 += x * w;
-        u1 += y * w;
-        u2 += z * w;
-        s += bv * w;
-    }
-    // Sherman–Morrison rank-one correction: G −= γ·uuᵀ, c −= γ·s·u.
-    g00 -= gamma * u0 * u0;
-    g01 -= gamma * u0 * u1;
-    g02 -= gamma * u0 * u2;
-    g11 -= gamma * u1 * u1;
-    g12 -= gamma * u1 * u2;
-    g22 -= gamma * u2 * u2;
-    c0 -= gamma * s * u0;
-    c1 -= gamma * s * u1;
-    c2 -= gamma * s * u2;
-    // On the dense path an accumulation overflow surfaces as NonFinite
-    // (ols3 re-checks the whitened system); keep that error surface.
-    let finite = [g00, g01, g02, g11, g12, g22, c0, c1, c2]
-        .iter()
-        .all(|v| v.is_finite());
-    if !finite {
-        return Err(LinalgError::NonFinite);
-    }
-    // Cramer's rule on the symmetric 3×3 system (same tail as ols3).
-    let det = g00 * (g11 * g22 - g12 * g12) - g01 * (g01 * g22 - g12 * g02)
-        + g02 * (g01 * g12 - g11 * g02);
-    let scale = [g00, g11, g22].into_iter().fold(0.0f64, f64::max);
-    if det.abs() <= 1e-13 * scale * scale * scale.max(f64::MIN_POSITIVE) {
-        return Err(LinalgError::Singular);
-    }
-    let x0 = (c0 * (g11 * g22 - g12 * g12) - g01 * (c1 * g22 - g12 * c2)
-        + g02 * (c1 * g12 - g11 * c2))
-        / det;
-    let x1 = (g00 * (c1 * g22 - c2 * g12) - c0 * (g01 * g22 - g12 * g02)
-        + g02 * (g01 * c2 - c1 * g02))
-        / det;
-    let x2 = (g00 * (g11 * c2 - g12 * c1) - g01 * (g01 * c2 - c1 * g02)
-        + c0 * (g01 * g12 - g11 * g02))
-        / det;
-    Ok([x0, x1, x2])
+    gls_rank1_core(a, b, rank1 / t, diag, scratch, x)
 }
 
 /// General-width core of [`gls_rank1_into`]: the same one-pass assembly

@@ -6,12 +6,10 @@
 //! lanes to agree. The Sherman–Morrison algebra is exact, so on
 //! well-conditioned systems agreement is pinned at ULP level (relative
 //! 1e-12); ill-conditioned diagonals get a looser documented bound. The
-//! stack mirror `gls3_rank1` must match the heap kernel **bit-for-bit**,
-//! and the `t = 1 + rank1·𝟙ᵀD⁻¹𝟙 → 0` guard must reject exactly when the
-//! dense Cholesky does.
+//! `t = 1 + rank1·𝟙ᵀD⁻¹𝟙 → 0` guard must reject exactly when the dense
+//! Cholesky does.
 
 use gps_linalg::lstsq::{self, GlsStrategy, LstsqScratch};
-use gps_linalg::stack::{self, SMat, SVec, STACK_M_CAP};
 use gps_linalg::{LinalgError, Matrix, Vector};
 use gps_rng::rngs::StdRng;
 use gps_rng::{Rng, SeedableRng};
@@ -180,52 +178,6 @@ fn t_guard_rejects_exactly_when_psi_loses_definiteness() {
                     dense.is_err(),
                     "dense accepted an indefinite Ψ (m={m}, t={t:e})"
                 );
-            }
-        }
-    }
-}
-
-#[test]
-fn stack_gls3_rank1_matches_heap_to_the_last_ulp() {
-    let mut rng = StdRng::seed_from_u64(0x5A1C_0004);
-    for m in 3..=STACK_M_CAP {
-        for _ in 0..CASES {
-            let mut sa = SMat::<STACK_M_CAP, 3>::zeroed(m);
-            let a = Matrix::from_fn(m, 3, |r, c| {
-                let v = rng.gen_range(-10.0..10.0);
-                sa.row_mut(r)[c] = v;
-                v
-            });
-            let mut sb = SVec::<STACK_M_CAP>::zeroed(m);
-            let b = Vector::from(
-                (0..m)
-                    .map(|r| {
-                        let v: f64 = rng.gen_range(-10.0..10.0);
-                        sb.as_mut_slice()[r] = v;
-                        v
-                    })
-                    .collect::<Vec<f64>>(),
-            );
-            let rank1 = rng.gen_range(-0.01..3.0);
-            let diag: Vec<f64> = (0..m).map(|_| rng.gen_range(0.1..4.0)).collect();
-            let mut scratch = LstsqScratch::new();
-            let mut x = Vector::default();
-            let heap = lstsq::gls_rank1_into(&a, &b, rank1, &diag, &mut scratch, &mut x);
-            let stk = stack::gls3_rank1(&sa, &sb, rank1, &diag);
-            match (heap, stk) {
-                (Ok(()), Ok(sol)) => {
-                    for (i, (h, s)) in x.as_slice().iter().zip(&sol).enumerate() {
-                        assert_eq!(
-                            h.to_bits(),
-                            s.to_bits(),
-                            "gls3_rank1 component {i} differs (m={m}): {h:e} vs {s:e}"
-                        );
-                    }
-                }
-                (Err(he), Err(se)) => assert_eq!(he, se, "gls3_rank1 error parity (m={m})"),
-                (h, s) => {
-                    panic!("gls3_rank1 lanes disagree on success (m={m}): {h:?} vs {s:?}")
-                }
             }
         }
     }

@@ -57,9 +57,9 @@ THROUGHPUT (parallel batch positioning):
                         back in deterministic epoch order
   --epochs N            stream length (default 2000; --quick: 240)
   --satellites M        satellites per epoch (default 8)
-  --block-size N        solve N same-shape epochs lock-step per lane via the
-                        SoA EpochBlock path (default 1 = per-epoch feeding;
-                        results are bit-identical at any block size)
+  --block-size N        feed N same-shape epochs per lane as one EpochBlock
+                        (default 1 = per-epoch feeding; results are
+                        bit-identical at any block size)
 
 SERVE (fleet-scale positioning service):
   runs a supervised multi-receiver service round by round: per-receiver
@@ -421,7 +421,7 @@ fn cmd_throughput(args: &Args) -> Result<(), String> {
     // Serial baseline: the batched Engine, timing disabled so both
     // paths run the identical per-epoch work and the wall clock is the
     // only measurement. Block mode feeds the same engine through
-    // lock-step EpochBlocks instead of epoch-by-epoch.
+    // EpochBlocks instead of epoch-by-epoch.
     let mut serial = Engine::all_solvers().with_timing(false);
     let serial_start = std::time::Instant::now();
     if block_size > 1 {
@@ -912,11 +912,11 @@ fn cmd_inspect(args: &Args) -> Result<(), String> {
 struct BaselineCell {
     solver: String,
     /// `"parallel"` = `ParallelEngine` across a pool, `"serial"` = the
-    /// batched single-thread `Engine`. Baselines written before the SoA
-    /// lane omit the key; they read back as parallel.
+    /// batched single-thread `Engine`. Baselines written before serial
+    /// cells existed omit the key; they read back as parallel.
     mode: String,
     jobs: usize,
-    /// Epochs per lock-step block (1 = per-epoch feeding). Missing key
+    /// Epochs per block (1 = per-epoch feeding). Missing key
     /// reads back as 1.
     block_size: usize,
     fixes_per_sec: f64,
