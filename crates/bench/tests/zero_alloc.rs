@@ -11,15 +11,18 @@
 //! covers the batched [`Engine`] and the RAIM happy path, which together
 //! form the per-epoch loop of every downstream consumer. The cold probe
 //! shows that the default solvers need no warm-up at all: a fresh
-//! context solves its first epoch without touching the heap.
+//! context solves its first epoch without touching the heap. The
+//! session probes cover the service's per-receiver epoch: a warm
+//! `Session::process` allocates nothing on a nominal epoch and only the
+//! returned exclusion list on a RAIM-retry epoch.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use gps_bench::{fixture_epochs, fixture_epochs_multi};
 use gps_core::{
-    Bancroft, Dlg, Dlo, Engine, Epoch, EpochBlock, EpochJob, GlsPath, NewtonRaphson,
-    ParallelEngine, Raim, SolveContext, Solver, WorkerLanes, BLOCK_LANES,
+    Bancroft, Dlg, Dlo, Engine, Epoch, EpochBlock, EpochJob, FixQuality, GlsPath, NewtonRaphson,
+    ParallelEngine, Raim, Session, SolveContext, Solver, WorkerLanes, BLOCK_LANES,
 };
 
 struct CountingAlloc;
@@ -354,4 +357,88 @@ fn raim_happy_path_is_allocation_free_when_warm() {
         }
     });
     assert_eq!(allocs, 0, "RAIM allocated {allocs} time(s) after warm-up");
+}
+
+/// Epochs that warm a session before a probe: the clock model's
+/// calibration run plus a margin.
+const SESSION_WARMUP: usize = 20;
+
+/// Epochs a session probe measures.
+const SESSION_PROBE: usize = 50;
+
+#[test]
+fn session_nominal_epoch_is_allocation_free_when_warm() {
+    // The service's per-receiver epoch: sanitize, the ladder's first
+    // rung, the gates (DOP included), the kinematic filter and the
+    // digest. Once the session is warm none of it may touch the heap.
+    let epochs = fixture_epochs(8, 97);
+    assert!(
+        epochs.len() >= SESSION_WARMUP + SESSION_PROBE,
+        "fixture too short"
+    );
+    let mut session = Session::new(1);
+    for meas in &epochs[..SESSION_WARMUP] {
+        let _ = session.process(meas, 30.0);
+    }
+
+    let probe = &epochs[SESSION_WARMUP..SESSION_WARMUP + SESSION_PROBE];
+    let mut qualities = Vec::with_capacity(probe.len());
+    let allocs = allocations_during(|| {
+        for meas in probe {
+            let fix = session.process(meas, 30.0);
+            qualities.push(fix.map(|f| f.quality));
+        }
+    });
+    assert!(
+        qualities.iter().all(|q| *q == Ok(FixQuality::Nominal)),
+        "probe epochs must be nominal: {qualities:?}"
+    );
+    assert_eq!(
+        allocs, 0,
+        "Session::process allocated {allocs} time(s) over {SESSION_PROBE} nominal epochs"
+    );
+}
+
+#[test]
+fn session_raim_retry_allocates_only_the_exclusion_list() {
+    // +400 m on one satellite fails DLG's residual gate; the RAIM retry
+    // excludes it and the fix passes. The one allocation left is the
+    // `excluded` list the fix hands back to the caller.
+    const FAULTED: usize = 3;
+    let fault = |meas: &Vec<gps_core::Measurement>| {
+        let mut faulted = meas.clone();
+        faulted[FAULTED].pseudorange += 400.0;
+        faulted
+    };
+    let epochs = fixture_epochs(8, 97);
+    assert!(
+        epochs.len() > SESSION_WARMUP + SESSION_PROBE,
+        "fixture too short"
+    );
+    let mut session = Session::new(2);
+    for meas in &epochs[..SESSION_WARMUP] {
+        let _ = session.process(meas, 30.0);
+    }
+    // One faulted epoch grows the RAIM and subset scratch.
+    let _ = session.process(&fault(&epochs[SESSION_WARMUP]), 30.0);
+
+    for meas in &epochs[SESSION_WARMUP + 1..=SESSION_WARMUP + SESSION_PROBE] {
+        let faulted = fault(meas);
+        let mut excluded = None;
+        let allocs = allocations_during(|| {
+            excluded = session
+                .process(&faulted, 30.0)
+                .ok()
+                .map(|fix| (fix.source, fix.excluded));
+        });
+        assert_eq!(
+            excluded,
+            Some(("DLG", vec![FAULTED])),
+            "DLG's RAIM retry must exclude the faulted satellite"
+        );
+        assert_eq!(
+            allocs, 1,
+            "a warm RAIM-retry epoch allocated {allocs} time(s), not just its exclusion list"
+        );
+    }
 }

@@ -203,6 +203,12 @@ pub struct ResilientSolver {
     holdover_used: usize,
     /// Seconds since the filter last absorbed a real fix.
     since_fix_s: f64,
+    /// The epoch's finite measurements, refilled every epoch.
+    clean: Vec<Measurement>,
+    /// Index of each `clean` measurement in the caller's slice.
+    original_index: Vec<usize>,
+    /// The measurements a RAIM retry kept, for re-validation.
+    kept: Vec<Measurement>,
 }
 
 impl Default for ResilientSolver {
@@ -232,6 +238,9 @@ impl ResilientSolver {
             filter: PvFilter::new(1.0, 25.0),
             holdover_used: 0,
             since_fix_s: 0.0,
+            clean: Vec::new(),
+            original_index: Vec::new(),
+            kept: Vec::new(),
         }
     }
 
@@ -315,15 +324,15 @@ impl ResilientSolver {
 
         // 1. Sanitize: a NaN pseudorange must cost one satellite, not
         // the epoch. Remember original indices for exclusion reporting.
-        let mut clean = Vec::with_capacity(measurements.len());
-        let mut original_index = Vec::with_capacity(measurements.len());
+        self.clean.clear();
+        self.original_index.clear();
         for (i, m) in measurements.iter().enumerate() {
             if m.is_finite() {
-                clean.push(*m);
-                original_index.push(i);
+                self.clean.push(*m);
+                self.original_index.push(i);
             }
         }
-        let dropped_non_finite = measurements.len() - clean.len();
+        let dropped_non_finite = measurements.len() - self.clean.len();
 
         // 2-4. The ladder, with gates and RAIM retry per rung. The walk
         // is generic: every rung is a `&dyn Solver`, so adding or
@@ -336,20 +345,23 @@ impl ResilientSolver {
             max_raim_exclusions: self.max_raim_exclusions,
         };
         let mut first_error: Option<SolveError> = None;
-        let mut accepted: Option<(Solution, &'static str, Vec<usize>, usize)> = None;
+        let mut accepted: Option<(Passed, &'static str, usize)> = None;
         for (rung, solver) in self.ladder.iter().enumerate() {
             let name = solver.name();
             match attempt(
                 solver.as_ref(),
-                &clean,
+                &self.clean,
                 predicted_receiver_bias_m,
                 &cfg,
                 &mut self.ctx,
+                &mut self.kept,
             ) {
-                Ok((solution, excluded_clean)) => {
-                    let excluded: Vec<usize> =
-                        excluded_clean.iter().map(|&k| original_index[k]).collect();
-                    accepted = Some((solution, name, excluded, rung));
+                Ok(mut passed) => {
+                    // Report exclusions against the caller's slice.
+                    for k in &mut passed.excluded {
+                        *k = self.original_index[*k];
+                    }
+                    accepted = Some((passed, name, rung));
                     break;
                 }
                 Err(e) => {
@@ -364,7 +376,12 @@ impl ResilientSolver {
             }
         }
 
-        if let Some((solution, source, excluded, rung)) = accepted {
+        if let Some((passed, source, rung)) = accepted {
+            let Passed {
+                solution,
+                gdop,
+                excluded,
+            } = passed;
             // Clock innovation: rungs that solve their own bias expose a
             // stale predictor. The fix stands, but only as degraded.
             let clock_innovation_fired = solution.receiver_bias_m.is_some_and(|bias| {
@@ -404,17 +421,6 @@ impl ResilientSolver {
             let _ = self.filter.update(solution.position, self.since_fix_s);
             self.since_fix_s = 0.0;
             self.holdover_used = 0;
-            let gdop = if excluded.is_empty() {
-                Dop::compute(&clean, solution.position).ok().map(|d| d.gdop)
-            } else {
-                let used: Vec<Measurement> = clean
-                    .iter()
-                    .zip(&original_index)
-                    .filter(|(_, &i)| !excluded.contains(&i))
-                    .map(|(m, _)| *m)
-                    .collect();
-                Dop::compute(&used, solution.position).ok().map(|d| d.gdop)
-            };
             return Ok(ResilientFix {
                 position: solution.position,
                 quality,
@@ -422,7 +428,7 @@ impl ResilientSolver {
                 excluded,
                 dropped_non_finite,
                 residual_rms: Some(solution.residual_rms),
-                gdop,
+                gdop: Some(gdop),
                 receiver_bias_m: solution.receiver_bias_m,
             });
         }
@@ -483,64 +489,87 @@ struct RungConfig<'a> {
     max_raim_exclusions: usize,
 }
 
-/// Solve + gates + RAIM retry for one ladder rung.
+/// A rung's fix that passed every gate.
+struct Passed {
+    solution: Solution,
+    /// GDOP of the satellite set behind the fix, from the geometry gate.
+    gdop: f64,
+    /// Indices excluded by the RAIM retry: into the sanitized slice as
+    /// [`attempt`] returns them, into the caller's slice once remapped.
+    excluded: Vec<usize>,
+}
+
+/// Solve + gates + RAIM retry for one ladder rung. `kept` is scratch
+/// for the measurements a RAIM retry keeps.
 fn attempt(
     solver: &dyn Solver,
     clean: &[Measurement],
     predicted_bias_m: f64,
     cfg: &RungConfig<'_>,
     ctx: &mut SolveContext,
-) -> Result<(Solution, Vec<usize>), SolveError> {
+    kept: &mut Vec<Measurement>,
+) -> Result<Passed, SolveError> {
     let epoch = Epoch::new(clean, predicted_bias_m);
     let solution = solver.solve(&epoch, ctx)?;
-    match validate(&solution, clean, cfg) {
-        GateVerdict::Pass => Ok((solution, Vec::new())),
-        GateVerdict::Fail(gate) => {
-            instrument::resilient_gate_failures().inc();
-            // A residual failure with redundancy to spare is the RAIM
-            // case: one bad measurement may be poisoning the fix.
-            if gate == Gate::Residual && clean.len() >= solver.min_satellites() + 2 {
-                instrument::resilient_raim_retries().inc();
-                let raim = Raim::new(solver, cfg.raim_threshold_m)
-                    .with_max_exclusions(cfg.max_raim_exclusions);
-                let outcome = raim.solve_with(&epoch, ctx)?;
-                let kept: Vec<Measurement> = clean
-                    .iter()
-                    .enumerate()
-                    .filter(|(k, _)| !outcome.excluded.contains(k))
-                    .map(|(_, m)| *m)
-                    .collect();
-                match validate(&outcome.solution, &kept, cfg) {
-                    GateVerdict::Pass => Ok((outcome.solution, outcome.excluded)),
-                    GateVerdict::Fail(_) => Err(SolveError::IntegrityFault {
-                        excluded: outcome.excluded,
-                        residual: outcome.solution.residual_rms,
-                    }),
-                }
-            } else {
-                Err(gate.as_error(&solution))
-            }
+    let gate = match validate(&solution, clean, cfg) {
+        Ok(gdop) => {
+            return Ok(Passed {
+                solution,
+                gdop,
+                excluded: Vec::new(),
+            })
         }
+        Err(gate) => gate,
+    };
+    instrument::resilient_gate_failures().inc();
+    // A residual failure with redundancy to spare is the RAIM case: one
+    // bad measurement may be poisoning the fix.
+    if gate != Gate::Residual || clean.len() < solver.min_satellites() + 2 {
+        return Err(gate.as_error(&solution));
+    }
+    instrument::resilient_raim_retries().inc();
+    let raim = Raim::new(solver, cfg.raim_threshold_m).with_max_exclusions(cfg.max_raim_exclusions);
+    let outcome = raim.solve_with(&epoch, ctx)?;
+    kept.clear();
+    kept.extend(
+        clean
+            .iter()
+            .enumerate()
+            .filter(|(k, _)| !outcome.excluded.contains(k))
+            .map(|(_, m)| *m),
+    );
+    match validate(&outcome.solution, kept, cfg) {
+        Ok(gdop) => Ok(Passed {
+            solution: outcome.solution,
+            gdop,
+            excluded: outcome.excluded,
+        }),
+        Err(_) => Err(SolveError::IntegrityFault {
+            excluded: outcome.excluded,
+            residual: outcome.solution.residual_rms,
+        }),
     }
 }
 
-/// Applies the residual / GDOP / position-innovation gates.
-fn validate(solution: &Solution, used: &[Measurement], cfg: &RungConfig<'_>) -> GateVerdict {
+/// Applies the residual / GDOP / position-innovation gates. On a pass,
+/// returns the GDOP the geometry gate computed, so the fix reports it
+/// without a second DOP computation.
+fn validate(solution: &Solution, used: &[Measurement], cfg: &RungConfig<'_>) -> Result<f64, Gate> {
     if solution.residual_rms > cfg.gates.max_residual_rms_m {
-        return GateVerdict::Fail(Gate::Residual);
+        return Err(Gate::Residual);
     }
-    match Dop::compute(used, solution.position) {
-        Ok(dop) if dop.gdop <= cfg.gates.max_gdop => {}
+    let gdop = match Dop::compute(used, solution.position) {
+        Ok(dop) if dop.gdop <= cfg.gates.max_gdop => dop.gdop,
         // Either the geometry is explicitly degenerate or GDOP blew
         // through the ceiling — both mean "don't trust this fix".
-        _ => return GateVerdict::Fail(Gate::Geometry),
-    }
+        _ => return Err(Gate::Geometry),
+    };
     if let Some(predicted) = cfg.filter.predict_position(cfg.since_fix_s) {
         if solution.position.distance_to(predicted) > cfg.gates.max_position_innovation_m {
-            return GateVerdict::Fail(Gate::Innovation);
+            return Err(Gate::Innovation);
         }
     }
-    GateVerdict::Pass
+    Ok(gdop)
 }
 
 /// Which gate a candidate fix failed.
@@ -567,12 +596,6 @@ impl Gate {
             },
         }
     }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GateVerdict {
-    Pass,
-    Fail(Gate),
 }
 
 #[cfg(test)]

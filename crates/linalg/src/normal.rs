@@ -15,7 +15,9 @@
 //!   singularity test `|det G| ≤ 10⁻¹³·(max Gᵢᵢ)³`
 //!   (`NormalEquations::<3, 1>::solve_cramer`);
 //! * four unknowns: one 4×4 Cholesky factorization shared by every
-//!   right-hand side (`NormalEquations::<4, R>::solve_cholesky`).
+//!   right-hand side (`NormalEquations::<4, R>::solve_cholesky`), which
+//!   also yields the diagonal of the inverse that DOP reads
+//!   (`NormalEquations::<4, R>::inverse_diagonal`).
 //!
 //! [`Rank1Normal3`] adds the Sherman–Morrison correction for DLG's
 //! rank-one-plus-diagonal covariance (eq. 4-26).
@@ -200,7 +202,7 @@ impl<const R: usize> NormalEquations<4, R> {
         if !self.rows_finite || self.rhs_finite.first() == Some(&false) {
             return Err(LinalgError::NonFinite);
         }
-        let solve = cholesky4(&self.gram)?;
+        let solve = cholesky4(&self.gram, 0.0)?;
         let mut out = [[0.0; 4]; R];
         for ((x, &c), &finite) in out.iter_mut().zip(&self.rhs).zip(&self.rhs_finite) {
             if !finite {
@@ -209,6 +211,41 @@ impl<const R: usize> NormalEquations<4, R> {
             *x = solve(c);
         }
         Ok(out)
+    }
+
+    /// The diagonal of `(AᵀWA)⁻¹`, the cofactor variances a
+    /// dilution-of-precision figure reads, from the same 4×4 Cholesky
+    /// factorization as [`Self::solve_cholesky`]: entry `k` is the `k`-th
+    /// component of the solve against the `k`-th unit vector. The
+    /// right-hand sides play no part.
+    ///
+    /// A pivot at or below `10⁻¹³` of the largest diagonal entry counts as
+    /// singular, the relative test [`crate::LuDecomposition`] applies: an
+    /// inverse that large is rounding noise, not geometry.
+    ///
+    /// # Errors
+    ///
+    /// * [`LinalgError::EmptyDimension`] / [`LinalgError::Underdetermined`]
+    ///   for fewer than four rows.
+    /// * [`LinalgError::NonFinite`] if a folded row entry was NaN/∞ or
+    ///   `AᵀWA` overflowed.
+    /// * [`LinalgError::NotPositiveDefinite`] for rank-deficient or
+    ///   numerically singular geometry.
+    // lint: no_alloc
+    #[inline]
+    pub fn inverse_diagonal(&self) -> crate::Result<[f64; 4]> {
+        self.check_rows(4)?;
+        if !self.rows_finite {
+            return Err(LinalgError::NonFinite);
+        }
+        let [[g00, ..], [_, g11, ..], [.., g22, _], [.., g33]] = self.gram;
+        let scale = [g00, g11, g22, g33].into_iter().fold(0.0f64, f64::max);
+        let solve = cholesky4(&self.gram, 1e-13 * scale)?;
+        let [q0, ..] = solve([1.0, 0.0, 0.0, 0.0]);
+        let [_, q1, ..] = solve([0.0, 1.0, 0.0, 0.0]);
+        let [.., q2, _] = solve([0.0, 0.0, 1.0, 0.0]);
+        let [.., q3] = solve([0.0, 0.0, 0.0, 1.0]);
+        Ok([q0, q1, q2, q3])
     }
 }
 
@@ -240,17 +277,19 @@ fn cramer3(g: &[[f64; 3]; 3], c: [f64; 3]) -> crate::Result<[f64; 3]> {
 }
 
 /// Factors the 4×4 symmetric positive-definite matrix whose lower
-/// triangle is `g` — column by column, with the checks and pivot tests
-/// of [`crate::Cholesky::factor_in_place`] — and returns the solver for
-/// `L·Lᵀ·x = c` (forward, then back substitution).
+/// triangle is `g` — column by column, with the checks of
+/// [`crate::Cholesky::factor_in_place`] — and returns the solver for
+/// `L·Lᵀ·x = c` (forward, then back substitution). A pivot at or below
+/// `min_pivot` fails; `min_pivot = 0` is exactly the pivot test of
+/// [`crate::Cholesky::factor_in_place`].
 // lint: no_alloc
 #[inline]
-fn cholesky4(g: &[[f64; 4]; 4]) -> crate::Result<impl Fn([f64; 4]) -> [f64; 4]> {
+fn cholesky4(g: &[[f64; 4]; 4], min_pivot: f64) -> crate::Result<impl Fn([f64; 4]) -> [f64; 4]> {
     if !g.iter().flatten().all(|v| v.is_finite()) {
         return Err(LinalgError::NonFinite);
     }
     let pivot = |d: f64, pivot: usize| {
-        if d <= 0.0 || !d.is_finite() {
+        if d <= min_pivot || !d.is_finite() {
             return Err(LinalgError::NotPositiveDefinite { pivot });
         }
         Ok(d.sqrt())
@@ -513,6 +552,50 @@ mod tests {
             second.add_row(row, [1.0, if k == 2 { f64::NAN } else { 0.0 }]);
         }
         assert_eq!(second.solve_cholesky().unwrap_err(), LinalgError::NonFinite);
+    }
+
+    #[test]
+    fn inverse_diagonal_matches_the_dense_inverse() {
+        let rows = [
+            [0.6, 0.3, 0.74, 1.0],
+            [-0.5, 0.6, 0.62, 1.0],
+            [0.1, -0.8, 0.59, 1.0],
+            [-0.7, -0.4, 0.59, 1.0],
+            [0.2, 0.1, 0.97, 1.0],
+            [0.9, -0.2, 0.39, 1.0],
+        ];
+        let mut normal = NormalEquations::<4, 0>::new();
+        for &row in &rows {
+            normal.add_row(row, []);
+        }
+        let diagonal = normal.inverse_diagonal().unwrap();
+        let inverse = Matrix::from_fn(6, 4, |r, c| rows[r][c])
+            .gram()
+            .inverse()
+            .unwrap();
+        for (k, q) in diagonal.iter().enumerate() {
+            let want = inverse[(k, k)];
+            assert!((q - want).abs() <= 1e-13 * want, "({k},{k}): {q} vs {want}");
+        }
+
+        let mut few = NormalEquations::<4, 0>::new();
+        rows[..3].iter().for_each(|&row| few.add_row(row, []));
+        assert_eq!(
+            few.inverse_diagonal().unwrap_err(),
+            LinalgError::Underdetermined { rows: 3, cols: 4 }
+        );
+        let mut poisoned = normal;
+        poisoned.add_row([f64::NAN, 0.0, 0.0, 1.0], []);
+        assert_eq!(
+            poisoned.inverse_diagonal().unwrap_err(),
+            LinalgError::NonFinite
+        );
+        let mut collapsed = NormalEquations::<4, 0>::new();
+        (0..5).for_each(|_| collapsed.add_row([0.6, 0.0, 0.8, 1.0], []));
+        assert!(matches!(
+            collapsed.inverse_diagonal().unwrap_err(),
+            LinalgError::NotPositiveDefinite { .. }
+        ));
     }
 
     #[test]

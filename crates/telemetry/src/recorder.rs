@@ -24,6 +24,7 @@
 //! trusting them.
 
 use std::cell::RefCell;
+use std::ffi::OsString;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
@@ -490,8 +491,27 @@ impl FlightRecorder {
     }
 
     /// Captures every ring and writes the binary dump to `path`.
+    ///
+    /// The bytes go to a temporary file beside `path` that no other
+    /// writer shares, which is then renamed over `path`. A reader sees
+    /// the previous dump or the new one whole, never a truncated or
+    /// interleaved file, even when several panicking workers dump to the
+    /// same path at once. The temporary file is removed if either step
+    /// fails.
     pub fn dump_to(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, self.capture().to_bytes())
+        static NEXT_TEMP: AtomicU64 = AtomicU64::new(0);
+        let mut name = OsString::from(".");
+        name.push(path.file_name().unwrap_or_default());
+        // Relaxed: the counter only has to hand out distinct numbers.
+        let unique = NEXT_TEMP.fetch_add(1, Ordering::Relaxed);
+        name.push(format!(".{}.{unique}.tmp", std::process::id()));
+        let temp = path.with_file_name(name);
+        let written = std::fs::write(&temp, self.capture().to_bytes())
+            .and_then(|()| std::fs::rename(&temp, path));
+        if written.is_err() {
+            let _ = std::fs::remove_file(&temp);
+        }
+        written
     }
 
     /// Captures and writes to the configured dump path, if one is set.
@@ -649,5 +669,38 @@ mod tests {
         let back = FlightDump::from_bytes(&std::fs::read(&path).unwrap()).unwrap();
         assert_eq!(back.total_records(), 1);
         std::fs::remove_file(&path).ok();
+    }
+
+    fn entries(dir: &Path) -> Vec<PathBuf> {
+        let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        entries.sort();
+        entries
+    }
+
+    #[test]
+    fn dumps_replace_the_file_whole_and_leave_no_temporary_behind() {
+        let dir = std::env::temp_dir().join(format!("gps_frec_replace_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("flight.bin");
+        let rec = FlightRecorder::new();
+        rec.attach(0).record(RecordKind::Marker, 0, 0, 1, 2);
+        rec.detach();
+        rec.dump_to(&path).unwrap();
+        rec.attach(1).record(RecordKind::Marker, 0, 0, 3, 4);
+        rec.detach();
+        rec.dump_to(&path).unwrap();
+        assert_eq!(entries(&dir), vec![path.clone()]);
+        let back = FlightDump::from_bytes(&std::fs::read(&path).unwrap()).unwrap();
+        assert_eq!(back.total_records(), 2);
+        // A target that cannot be replaced fails cleanly, temporary gone.
+        let blocked = dir.join("blocked");
+        std::fs::create_dir(&blocked).unwrap();
+        assert!(rec.dump_to(&blocked).is_err());
+        assert_eq!(entries(&dir), vec![blocked, path]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

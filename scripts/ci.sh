@@ -80,7 +80,7 @@ echo "$out" | grep -q "per lane" || { echo "smoke: no per-lane table"; exit 1; }
 echo "$out" | grep "failed" | grep -vq "failed    0" \
     && { echo "smoke: a lane failed on the clean stream"; exit 1; }
 
-echo "==> block-mode smoke (SoA block sweep, parity enforced per size)"
+echo "==> block-mode smoke (block sizes 1, 4 and 8, parity enforced per size)"
 for bs in 1 4 8; do
     out=$(cargo run --release --offline -q -- throughput --jobs 1 --quick --block-size "$bs")
     echo "$out" | head -n 3
