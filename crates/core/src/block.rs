@@ -2,7 +2,7 @@
 //!
 //! The per-epoch [`Solver`](crate::Solver) hot path is allocation-free
 //! but *latency*-shaped: one epoch in, one fix out. Batch consumers —
-//! the throughput bench, the parallel engine's workers, the positioning
+//! the serial and parallel engines' `run_blocked`, the positioning
 //! service draining a deep queue — hand the solvers many independent
 //! epochs at once. [`EpochBlock`] is the unit of that batching: a
 //! validated view over `1..=`[`BLOCK_LANES`] consecutive [`EpochJob`]s

@@ -39,7 +39,6 @@ cached_metric!(dlg_condition, Histogram, "core.dlg.condition_number");
 cached_metric!(dlg_cov_assembly, Histogram, "core.dlg.cov_assembly_us");
 cached_metric!(base_index, Histogram, "core.base.selected_index");
 cached_metric!(block_lanes, Histogram, "core.block.lanes");
-cached_metric!(block_fallback, Counter, "core.block.fallback");
 cached_metric!(raim_exclusions, Counter, "core.raim.exclusions");
 cached_metric!(resilient_nominal, Counter, "core.resilient.nominal");
 cached_metric!(resilient_degraded, Counter, "core.resilient.degraded");

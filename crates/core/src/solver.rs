@@ -160,7 +160,6 @@ pub trait Solver: fmt::Debug + Send + Sync {
         ctx: &mut SolveContext,
         out: &mut Vec<Result<Solution, SolveError>>,
     ) {
-        crate::instrument::block_fallback().inc();
         for epoch in block.epochs() {
             out.push(self.solve(&epoch, ctx));
         }

@@ -18,7 +18,7 @@ use gps_repro::core::{
     ParallelEngine, SolveContext, Solver,
 };
 use gps_repro::faults::{FaultPlan, RuntimeFault, RuntimeFaultPlan};
-use gps_repro::obs::{format, paper_stations, DataSet, DatasetGenerator};
+use gps_repro::obs::{format, paper_stations, DataSet, DatasetGenerator, Station};
 use gps_repro::orbits::{yuma, Constellation};
 use gps_repro::pool::ThreadPool;
 use gps_repro::sim::{
@@ -37,7 +37,7 @@ USAGE:
   gps-repro solve <FILE> [--algorithm nr|dlo|dlg|bancroft] [--satellites M]
   gps-repro engine <FILE> [--satellites M] [--epochs N]
   gps-repro throughput [--jobs N] [--epochs N] [--satellites M] [--seed N]
-                       [--block-size N] [--station <SRZN|YYR1|FAI1|KYCP>] [--quick]
+                       [--station <SRZN|YYR1|FAI1|KYCP>] [--quick]
   gps-repro serve [--sessions N] [--rounds N] [--jobs N] [--deadline-us N]
                   [--queue-cap N] [--journal FILE] [--kill-after N]
                   [--truncate-tail BYTES] [--bench-out FILE] [--seed N] [--quick]
@@ -47,8 +47,6 @@ USAGE:
   gps-repro profile [<table51|fig51|fig52|extensions|all>] [--folded]
                     [--out <FILE>] [--seed N] [--paper-scale|--full]
   gps-repro inspect <DUMP> [--tail N] [--format text|json]
-  gps-repro benchdiff [--baseline <FILE>] [--tolerance PCT] [--epochs N]
-                      [--jobs N] [--quick]
   gps-repro almanac [--out <FILE>]
 
 THROUGHPUT (parallel batch positioning):
@@ -57,9 +55,6 @@ THROUGHPUT (parallel batch positioning):
                         back in deterministic epoch order
   --epochs N            stream length (default 2000; --quick: 240)
   --satellites M        satellites per epoch (default 8)
-  --block-size N        feed N same-shape epochs per lane as one EpochBlock
-                        (default 1 = per-epoch feeding; results are
-                        bit-identical at any block size)
 
 SERVE (fleet-scale positioning service):
   runs a supervised multi-receiver service round by round: per-receiver
@@ -114,14 +109,6 @@ PROFILE (sampling profiler over the span tree):
 INSPECT (decode a flight-recorder dump):
   --tail N              only the last N records per worker
   --format text|json    per-worker timeline (default text) or JSON lines
-
-BENCHDIFF (throughput regression gate):
-  re-measures the committed BENCH_throughput.json workload and exits
-  nonzero when any lane regresses beyond tolerance
-  --baseline FILE       baseline JSON (default BENCH_throughput.json)
-  --tolerance PCT       allowed fixes/s drop vs baseline (default 25)
-  --epochs N            epochs per measured stream (default 960; --quick 240)
-  --jobs N              only measure baseline cells with jobs <= N
 
 TELEMETRY (any command):
   --log-level <trace|debug|info|warn|error>   human-readable events on stderr
@@ -225,14 +212,17 @@ fn load_dataset(path: &str) -> Result<DataSet, String> {
     format::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
+/// Resolves a `--station` id against the four Table 5.1 stations.
+fn station_by_id(id: &str) -> Result<Station, String> {
+    paper_stations()
+        .into_iter()
+        .find(|s| s.id() == id)
+        .ok_or_else(|| format!("unknown station `{id}` (SRZN|YYR1|FAI1|KYCP)"))
+}
+
 fn cmd_generate(args: &Args) -> Result<(), String> {
-    let site = args.flag("station").ok_or("--station is required")?;
+    let station = station_by_id(args.flag("station").ok_or("--station is required")?)?;
     let out = args.flag("out").ok_or("--out is required")?;
-    let stations = paper_stations();
-    let station = stations
-        .iter()
-        .find(|s| s.id() == site)
-        .ok_or_else(|| format!("unknown station `{site}` (SRZN|YYR1|FAI1|KYCP)"))?;
     let epochs: usize = args.flag_parse("epochs", 2_880)?;
     let interval: f64 = args.flag_parse("interval", 30.0)?;
     let seed: u64 = args.flag_parse("seed", 2_010)?;
@@ -242,7 +232,7 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
         .epoch_interval_s(interval)
         .epoch_count(epochs)
         .elevation_mask_deg(mask)
-        .generate(station);
+        .generate(&station);
     fs::write(out, format::write(&data)).map_err(|e| format!("{out}: {e}"))?;
     let (smin, smax) = data.satellite_count_range();
     println!(
@@ -373,12 +363,7 @@ fn cmd_engine(args: &Args) -> Result<(), String> {
 /// Builds the throughput workload: a generated dataset reduced to
 /// owned per-epoch measurement batches with truth-channel clock
 /// predictions (the same inputs `cmd_engine` feeds serially).
-fn throughput_stream(station_id: &str, epochs: usize, m: usize, seed: u64) -> Vec<EpochJob> {
-    let stations = paper_stations();
-    let station = stations
-        .iter()
-        .find(|s| s.id() == station_id)
-        .expect("validated by caller");
+fn throughput_stream(station: &Station, epochs: usize, m: usize, seed: u64) -> Vec<EpochJob> {
     let data = DatasetGenerator::new(seed)
         .epoch_interval_s(30.0)
         .epoch_count(epochs)
@@ -400,47 +385,30 @@ fn cmd_throughput(args: &Args) -> Result<(), String> {
     let m: usize = args.flag_parse("satellites", 8)?;
     let seed: u64 = args.flag_parse("seed", 2_010)?;
     let jobs: usize = args.flag_parse("jobs", gps_repro::pool::available_parallelism())?;
-    let block_size: usize = args.flag_parse("block-size", 1)?;
-    let station = args.flag("station").unwrap_or("SRZN");
-    if !["SRZN", "YYR1", "FAI1", "KYCP"].contains(&station) {
-        return Err(format!("unknown station `{station}` (SRZN|YYR1|FAI1|KYCP)"));
-    }
+    let station = station_by_id(args.flag("station").unwrap_or("SRZN"))?;
     if epochs == 0 {
         return Err("--epochs must be at least 1".to_owned());
     }
-    if block_size == 0 {
-        return Err("--block-size must be at least 1".to_owned());
-    }
 
     println!(
-        "throughput: {epochs} epochs × {m} satellites from {station} \
-         (seed {seed}, block size {block_size})"
+        "throughput: {epochs} epochs × {m} satellites from {} (seed {seed})",
+        station.id()
     );
-    let stream = throughput_stream(station, epochs, m, seed);
+    let stream = throughput_stream(&station, epochs, m, seed);
 
     // Serial baseline: the batched Engine, timing disabled so both
     // paths run the identical per-epoch work and the wall clock is the
-    // only measurement. Block mode feeds the same engine through
-    // EpochBlocks instead of epoch-by-epoch.
+    // only measurement.
     let mut serial = Engine::all_solvers().with_timing(false);
     let serial_start = std::time::Instant::now();
-    if block_size > 1 {
-        serial.run_blocked(&stream, block_size);
-    } else {
-        for job in &stream {
-            serial.run_epoch(&job.measurements, job.predicted_receiver_bias_m);
-        }
+    for job in &stream {
+        serial.run_epoch(&job.measurements, job.predicted_receiver_bias_m);
     }
     let serial_elapsed = serial_start.elapsed();
 
     // Parallel run across the pool.
     let pool = ThreadPool::new(jobs);
-    let engine = ParallelEngine::all_solvers();
-    let run = if block_size > 1 {
-        engine.run_blocked(&pool, std::sync::Arc::new(stream), block_size)
-    } else {
-        engine.run(&pool, stream)
-    };
+    let run = ParallelEngine::all_solvers().run(&pool, stream);
 
     // Determinism spot check: the parallel merge must agree with the
     // serial engine on every lane's outcome tallies.
@@ -908,257 +876,6 @@ fn cmd_inspect(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// One (solver, jobs) cell parsed from the baseline JSON.
-struct BaselineCell {
-    solver: String,
-    /// `"parallel"` = `ParallelEngine` across a pool, `"serial"` = the
-    /// batched single-thread `Engine`. Baselines written before serial
-    /// cells existed omit the key; they read back as parallel.
-    mode: String,
-    jobs: usize,
-    /// Epochs per block (1 = per-epoch feeding). Missing key
-    /// reads back as 1.
-    block_size: usize,
-    fixes_per_sec: f64,
-}
-
-/// The `hardware_threads` count from the baseline header, if present.
-/// Only the text before the `results` array is scanned so a result-cell
-/// key can never shadow the header; baselines written before the field
-/// existed read back as `None`.
-fn parse_baseline_threads(text: &str) -> Option<usize> {
-    let header = text.split("\"results\"").next()?;
-    let rest = header.split("\"hardware_threads\"").nth(1)?;
-    let lit: String = rest
-        .trim_start()
-        .strip_prefix(':')?
-        .trim_start()
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    lit.parse().ok()
-}
-
-/// Hand-rolled scanner for `BENCH_throughput.json` (no JSON dependency):
-/// pulls `solver`, `jobs` and `fixes_per_sec` out of each object in the
-/// `results` array. Tolerates reordered fields and extra keys; the
-/// objects must not nest (the bench writer never nests them).
-fn parse_baseline(text: &str) -> Result<Vec<BaselineCell>, String> {
-    let results = text
-        .split("\"results\"")
-        .nth(1)
-        .ok_or("baseline has no \"results\" array")?;
-    let mut cells = Vec::new();
-    for obj in results.split('{').skip(1) {
-        let Some(body) = obj.split('}').next() else {
-            continue;
-        };
-        let field = |key: &str| -> Option<&str> {
-            let rest = body.split(&format!("\"{key}\"")).nth(1)?;
-            rest.trim_start().strip_prefix(':').map(str::trim_start)
-        };
-        let solver = field("solver")
-            .and_then(|v| v.strip_prefix('"'))
-            .and_then(|v| v.split('"').next())
-            .ok_or("result cell missing \"solver\"")?;
-        let num = |key: &str| -> Result<f64, String> {
-            let v = field(key).ok_or_else(|| format!("result cell missing \"{key}\""))?;
-            let lit: String = v
-                .chars()
-                .take_while(|c| c.is_ascii_digit() || "+-.eE".contains(*c))
-                .collect();
-            lit.parse()
-                .map_err(|_| format!("cannot parse \"{key}\" value `{lit}`"))
-        };
-        let jobs = num("jobs")? as usize;
-        let block_size = if field("block_size").is_some() {
-            (num("block_size")? as usize).max(1)
-        } else {
-            1
-        };
-        let mode = field("mode")
-            .and_then(|v| v.strip_prefix('"'))
-            .and_then(|v| v.split('"').next())
-            .unwrap_or("parallel");
-        cells.push(BaselineCell {
-            solver: solver.to_owned(),
-            mode: mode.to_owned(),
-            jobs,
-            block_size,
-            fixes_per_sec: num("fixes_per_sec")?,
-        });
-    }
-    if cells.is_empty() {
-        return Err("baseline contains no result cells".to_owned());
-    }
-    Ok(cells)
-}
-
-fn cmd_benchdiff(args: &Args) -> Result<(), String> {
-    use gps_repro::sim::select_subset;
-    use std::sync::Arc;
-
-    let baseline_path = args.flag("baseline").unwrap_or("BENCH_throughput.json");
-    let tolerance: f64 = args.flag_parse("tolerance", 25.0)?;
-    let quick = args.has("quick");
-    let epochs: usize = args.flag_parse("epochs", if quick { 240 } else { 960 })?;
-    let jobs_cap: usize = args.flag_parse("jobs", usize::MAX)?;
-    if epochs == 0 {
-        return Err("--epochs must be at least 1".to_owned());
-    }
-    if !(0.0..100.0).contains(&tolerance) {
-        return Err("--tolerance must be in [0, 100)".to_owned());
-    }
-    let text = fs::read_to_string(baseline_path).map_err(|e| format!("{baseline_path}: {e}"))?;
-    let cells: Vec<BaselineCell> = parse_baseline(&text)?
-        .into_iter()
-        .filter(|c| c.jobs <= jobs_cap)
-        .collect();
-    if cells.is_empty() {
-        return Err(format!("no baseline cells with jobs <= {jobs_cap}"));
-    }
-
-    // Rebuild the committed bench workload (crates/bench/benches/
-    // throughput.rs): the SRZN fixture — 120 epochs at 30 s cadence,
-    // 5° mask, 8 satellites, seed 2010 — cycled to the stream length
-    // with zero predicted bias. fixes/s is a rate, so a shorter
-    // `--epochs` stream stays comparable to the 960-epoch baseline.
-    let stations = paper_stations();
-    let data = DatasetGenerator::new(2_010)
-        .epoch_interval_s(30.0)
-        .epoch_count(120)
-        .elevation_mask_deg(5.0)
-        .generate(&stations[0]);
-    let station = data.station().position();
-    let base: Vec<Vec<gps_repro::core::Measurement>> = data
-        .epochs()
-        .iter()
-        .filter(|e| e.observations().len() >= 8)
-        .map(|e| to_measurements(&select_subset(station, e, 8)))
-        .collect();
-    if base.is_empty() {
-        return Err("bench fixture yielded no epochs".to_owned());
-    }
-    let stream: Arc<Vec<EpochJob>> = Arc::new(
-        (0..epochs)
-            .map(|i| EpochJob::new(base[i % base.len()].clone(), 0.0))
-            .collect(),
-    );
-
-    let roster = ParallelEngine::all_solvers();
-    println!(
-        "benchdiff vs {baseline_path}: {} cell(s), tolerance {tolerance}%, {epochs}-epoch streams",
-        cells.len()
-    );
-    // Surface the baseline-vs-runner hardware mismatch in the header:
-    // fixes/s cells recorded on a different core count are informational,
-    // not regression-gate material, and the reader should see that before
-    // the per-cell verdicts.
-    let runner_threads = gps_repro::pool::available_parallelism();
-    match parse_baseline_threads(&text) {
-        Some(base_threads) if base_threads == runner_threads => {
-            println!("  baseline and runner both have {runner_threads} hardware thread(s)");
-        }
-        Some(base_threads) => {
-            println!(
-                "  WARNING: baseline recorded on {base_threads} hardware thread(s), runner has \
-                 {runner_threads} — parallel-cell deltas reflect the machine, not the code"
-            );
-        }
-        None => {
-            println!(
-                "  baseline predates the hardware_threads field; runner has {runner_threads} \
-                 hardware thread(s)"
-            );
-        }
-    }
-    let mut regressions = 0usize;
-    let mut measured_cells = 0usize;
-    for cell in &cells {
-        let Some(solver) = roster.solvers().iter().find(|s| s.name() == cell.solver) else {
-            println!(
-                "  {:<9} jobs {:<2} unknown solver in baseline — skipped",
-                cell.solver, cell.jobs
-            );
-            continue;
-        };
-        // One warm-up pass, then best-of-three: min is the least-noisy
-        // estimator for a fixed workload on a shared machine. Serial
-        // cells re-measure the single-thread Engine (block feeding);
-        // parallel cells re-measure the pool path.
-        let mut best = f64::INFINITY;
-        if cell.mode == "serial" {
-            let mut engine = Engine::new()
-                .with_solver(solver.clone_box())
-                .with_timing(false);
-            for i in 0..4 {
-                let start = std::time::Instant::now();
-                let fed = engine.run_blocked(&stream, cell.block_size);
-                let elapsed = start.elapsed().as_secs_f64();
-                if fed != stream.len() {
-                    return Err(format!(
-                        "benchdiff: {} solved {fed} of {} epochs",
-                        cell.solver,
-                        stream.len()
-                    ));
-                }
-                if i > 0 {
-                    best = best.min(elapsed);
-                }
-            }
-        } else {
-            let engine = ParallelEngine::new().with_solver(solver.clone_box());
-            let pool = ThreadPool::new(cell.jobs);
-            for i in 0..4 {
-                let start = std::time::Instant::now();
-                let run = if cell.block_size > 1 {
-                    engine.run_blocked(&pool, Arc::clone(&stream), cell.block_size)
-                } else {
-                    engine.run_shared(&pool, Arc::clone(&stream))
-                };
-                let elapsed = start.elapsed().as_secs_f64();
-                if run.outcomes.len() != stream.len() {
-                    return Err(format!(
-                        "benchdiff: {} produced {} results for {} epochs",
-                        cell.solver,
-                        run.outcomes.len(),
-                        stream.len()
-                    ));
-                }
-                if i > 0 {
-                    best = best.min(elapsed);
-                }
-            }
-        }
-        let measured = epochs as f64 / best.max(1e-12);
-        measured_cells += 1;
-        let floor = cell.fixes_per_sec * (1.0 - tolerance / 100.0);
-        let verdict = if measured < floor {
-            regressions += 1;
-            "REGRESSION"
-        } else {
-            "ok"
-        };
-        println!(
-            "  {:<9} {:<8} jobs {:<2} bs {:<2} baseline {:>12.0}/s  measured {:>12.0}/s  ({:>+7.1}%)  {verdict}",
-            cell.solver,
-            cell.mode,
-            cell.jobs,
-            cell.block_size,
-            cell.fixes_per_sec,
-            measured,
-            100.0 * (measured / cell.fixes_per_sec.max(1e-12) - 1.0)
-        );
-    }
-    if regressions > 0 {
-        return Err(format!(
-            "benchdiff: {regressions} of {measured_cells} cell(s) regressed more than {tolerance}% below {baseline_path}"
-        ));
-    }
-    println!("benchdiff: {measured_cells} cell(s) within {tolerance}% of baseline");
-    Ok(())
-}
-
 fn cmd_almanac(args: &Args) -> Result<(), String> {
     let text = yuma::write(&Constellation::gps_nominal());
     match args.flag("out") {
@@ -1194,7 +911,6 @@ fn main() -> ExitCode {
         "experiment" => cmd_experiment(&args),
         "profile" => cmd_profile(&args),
         "inspect" => cmd_inspect(&args),
-        "benchdiff" => cmd_benchdiff(&args),
         "almanac" => cmd_almanac(&args),
         _ => return usage(),
     };

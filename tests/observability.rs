@@ -1,7 +1,6 @@
 //! Integration tests for the observability pipeline: flight-recorder
 //! dumps end to end through `gps-repro inspect`, exact-tail lane
-//! latency in `throughput`, the folded-stack profiler, and the
-//! `benchdiff` regression gate.
+//! latency in `throughput`, and the folded-stack profiler.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -224,84 +223,4 @@ fn profile_table_mode_shows_exact_tails() {
         .expect("profile runs");
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown experiment"));
-}
-
-#[test]
-fn benchdiff_gates_on_the_baseline() {
-    let dir = temp_dir("benchdiff");
-
-    // A baseline any machine can beat: passes with exit 0.
-    let easy = dir.join("easy.json");
-    std::fs::write(
-        &easy,
-        r#"{"results": [
-            {"solver": "DLO", "jobs": 1, "ns_per_stream": 1, "fixes_per_sec": 1.0, "speedup_vs_jobs1": 1.0},
-            {"solver": "NR", "jobs": 1, "ns_per_stream": 1, "fixes_per_sec": 1.0, "speedup_vs_jobs1": 1.0}
-        ]}"#,
-    )
-    .expect("write baseline");
-    let out = bin()
-        .args([
-            "benchdiff",
-            "--epochs",
-            "60",
-            "--tolerance",
-            "50",
-            "--baseline",
-        ])
-        .arg(&easy)
-        .output()
-        .expect("benchdiff runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("DLO"), "{text}");
-    assert!(text.contains("ok"), "{text}");
-
-    // A synthetic regression no machine can beat: exits nonzero and
-    // names the regressed cell.
-    let absurd = dir.join("absurd.json");
-    std::fs::write(
-        &absurd,
-        r#"{"results": [
-            {"solver": "DLO", "jobs": 1, "ns_per_stream": 1, "fixes_per_sec": 1e15, "speedup_vs_jobs1": 1.0}
-        ]}"#,
-    )
-    .expect("write baseline");
-    let out = bin()
-        .args([
-            "benchdiff",
-            "--epochs",
-            "60",
-            "--tolerance",
-            "50",
-            "--baseline",
-        ])
-        .arg(&absurd)
-        .output()
-        .expect("benchdiff runs");
-    assert!(!out.status.success(), "synthetic regression passed");
-    assert!(
-        String::from_utf8_lossy(&out.stdout).contains("REGRESSION"),
-        "no REGRESSION verdict"
-    );
-
-    // Malformed baselines are a usage error, not a crash.
-    let empty = dir.join("empty.json");
-    std::fs::write(&empty, "{}").expect("write baseline");
-    let out = bin()
-        .args(["benchdiff", "--baseline"])
-        .arg(&empty)
-        .output()
-        .expect("benchdiff runs");
-    assert!(!out.status.success());
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("results"),
-        "no parse diagnostic"
-    );
-
-    std::fs::remove_dir_all(&dir).ok();
 }
