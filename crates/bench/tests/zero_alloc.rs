@@ -213,34 +213,35 @@ fn engine_epoch_loop_is_allocation_free_when_warm() {
 }
 
 #[test]
-fn parallel_worker_epoch_loop_is_allocation_free_when_warm() {
-    // A pool worker's steady state is WorkerLanes::solve_into with a
-    // reused outcome buffer; everything else (job boxing, the result
-    // channel) happens once per batch, not once per epoch. Varying
-    // epoch sizes exercise buffer reuse across dimension changes.
-    let epochs: Vec<_> = [6usize, 8, 10, 7]
+fn parallel_worker_chunk_allocates_only_its_outcomes_when_warm() {
+    // A pool worker's steady state is WorkerLanes::solve_chunk on one
+    // claim of the stream. The solves reuse the warm contexts, so the
+    // only allocations are the outcome vectors the worker hands back:
+    // one per epoch plus the chunk's own. Varying epoch sizes exercise
+    // buffer reuse across dimension changes.
+    let jobs: Vec<EpochJob> = [6usize, 8, 10, 7]
         .iter()
-        .flat_map(|&m| fixture_epochs(m, 107).into_iter().take(4))
+        .flat_map(|&m| fixture_epochs(m, 107).into_iter().take(16))
+        .map(|meas| EpochJob::new(meas, 12.0))
         .collect();
-    assert!(!epochs.is_empty(), "fixture produced no epochs");
+    assert!(!jobs.is_empty(), "fixture produced no epochs");
 
     let roster = ParallelEngine::all_solvers();
     let mut worker = WorkerLanes::new(roster.solvers());
-    let mut out = Vec::new();
-    for meas in &epochs {
-        worker.solve_into(&Epoch::new(meas, 12.0), &mut out);
-    }
+    drop(worker.solve_chunk(&jobs, 0));
 
-    let allocs = allocations_during(|| {
-        for meas in &epochs {
-            worker.solve_into(&Epoch::new(meas, 12.0), &mut out);
-            assert_eq!(out.len(), worker.len(), "one outcome per lane");
-            assert!(out.iter().all(Result::is_ok), "a lane failed a clean epoch");
-        }
-    });
+    let mut chunk = Vec::new();
+    let allocs = allocations_during(|| chunk = worker.solve_chunk(&jobs, 0));
+    assert_eq!(chunk.len(), jobs.len(), "one outcome vector per epoch");
+    assert!(
+        chunk.iter().flatten().all(Result::is_ok),
+        "a lane failed a clean epoch"
+    );
     assert_eq!(
-        allocs, 0,
-        "worker lanes allocated {allocs} time(s) after warm-up"
+        allocs,
+        jobs.len() as u64 + 1,
+        "a warm {}-epoch chunk allocated {allocs} time(s), not just its outcome vectors",
+        jobs.len()
     );
 }
 
@@ -309,9 +310,9 @@ fn engine_blocked_loop_is_allocation_free_when_warm() {
 #[test]
 fn parallel_worker_block_loop_is_allocation_free_when_warm() {
     // A blocked pool worker's steady state: solve_block_into with the
-    // reused per-lane outcome buffers. (The per-epoch channel sends
-    // clone the results; that cost is per-batch plumbing outside the
-    // solve loop and outside this probe.)
+    // reused per-lane outcome buffers. (The worker then moves each
+    // block's results into per-epoch outcome vectors for its one
+    // hand-off; those vectors are its output, outside this probe.)
     let jobs = block_stream(6, 2 * BLOCK_LANES, 127);
     let roster = ParallelEngine::all_solvers();
     let mut worker = WorkerLanes::new(roster.solvers());

@@ -53,49 +53,63 @@ fn mixed_stream(len: usize) -> Vec<EpochJob> {
         .collect()
 }
 
+/// Epochs a `run_shared` worker claims at a time.
+const CLAIM: usize = 64;
+
 #[test]
 fn blocked_run_is_bit_identical_to_serial_and_shared() {
     let engine = ParallelEngine::all_solvers();
-    let stream = Arc::new(mixed_stream(33));
+    // Shorter than one claim, then several claims per worker plus a
+    // ragged tail, so the stitch of many chunks is checked too.
+    for len in [33, 5 * CLAIM + 7] {
+        let stream = Arc::new(mixed_stream(len));
 
-    // Serial reference: one context per lane, epoch by epoch.
-    let mut ctxs: Vec<SolveContext> = engine
-        .solvers()
-        .iter()
-        .map(|_| SolveContext::new())
-        .collect();
-    let serial: Vec<Vec<_>> = stream
-        .iter()
-        .map(|job| {
-            let epoch = Epoch::new(&job.measurements, job.predicted_receiver_bias_m);
-            engine
-                .solvers()
-                .iter()
-                .zip(ctxs.iter_mut())
-                .map(|(s, ctx)| s.solve(&epoch, ctx))
-                .collect()
-        })
-        .collect();
+        // Serial reference: one context per lane, epoch by epoch.
+        let mut ctxs: Vec<SolveContext> = engine
+            .solvers()
+            .iter()
+            .map(|_| SolveContext::new())
+            .collect();
+        let serial: Vec<Vec<_>> = stream
+            .iter()
+            .map(|job| {
+                let epoch = Epoch::new(&job.measurements, job.predicted_receiver_bias_m);
+                engine
+                    .solvers()
+                    .iter()
+                    .zip(ctxs.iter_mut())
+                    .map(|(s, ctx)| s.solve(&epoch, ctx))
+                    .collect()
+            })
+            .collect();
 
-    for workers in [1usize, 2, 4] {
-        let pool = ThreadPool::new(workers);
-        let shared = engine.run_shared(&pool, Arc::clone(&stream));
-        assert_eq!(shared.outcomes, serial, "run_shared, {workers} workers");
-        for block_size in [1usize, 4, 8, 13] {
-            let blocked = engine.run_blocked(&pool, Arc::clone(&stream), block_size);
+        for workers in [1usize, 2, 4] {
+            let pool = ThreadPool::new(workers);
+            let shared = engine.run_shared(&pool, Arc::clone(&stream));
             assert_eq!(
-                blocked.outcomes, serial,
-                "run_blocked bs={block_size}, {workers} workers"
+                shared.outcomes, serial,
+                "run_shared, {workers} workers, {len} epochs"
             );
-            for (lane, (b, s)) in blocked
-                .lane_stats
-                .iter()
-                .zip(shared.lane_stats.iter())
-                .enumerate()
-            {
-                assert_eq!(b.epochs, s.epochs, "lane {lane} epochs");
-                assert_eq!(b.solved, s.solved, "lane {lane} solved");
-                assert_eq!(b.failed, s.failed, "lane {lane} failed");
+            let claimed: u64 = shared.workers.iter().map(|w| w.epochs).sum();
+            assert_eq!(claimed, len as u64, "run_shared, {workers} workers");
+            for block_size in [1usize, 4, 8, 13] {
+                let blocked = engine.run_blocked(&pool, Arc::clone(&stream), block_size);
+                assert_eq!(
+                    blocked.outcomes, serial,
+                    "run_blocked bs={block_size}, {workers} workers, {len} epochs"
+                );
+                let claimed: u64 = blocked.workers.iter().map(|w| w.epochs).sum();
+                assert_eq!(claimed, len as u64, "run_blocked bs={block_size}");
+                for (lane, (b, s)) in blocked
+                    .lane_stats
+                    .iter()
+                    .zip(shared.lane_stats.iter())
+                    .enumerate()
+                {
+                    assert_eq!(b.epochs, s.epochs, "lane {lane} epochs");
+                    assert_eq!(b.solved, s.solved, "lane {lane} solved");
+                    assert_eq!(b.failed, s.failed, "lane {lane} failed");
+                }
             }
         }
     }

@@ -53,12 +53,14 @@ pub enum RecordKind {
     JobEnd = 4,
     /// A pool job panicked; caught by the worker (`a` = job sequence).
     JobPanic = 5,
-    /// A parallel-engine epoch began (`code` = satellite count).
+    /// A parallel-engine chunk or block of epochs began (`code` =
+    /// satellite count of its first epoch, whose id the record carries).
     EpochStart = 6,
-    /// A solver lane produced a fix (`a` = solver tag, `b` = ns).
+    /// A solver lane finished a chunk or block (`code` = epochs solved,
+    /// `a` = solver tag, `b` = ns over those epochs).
     LaneSolve = 7,
-    /// A solver lane failed (`code` = error code, `a` = solver tag,
-    /// `b` = ns).
+    /// A solver lane failed one epoch (`code` = error code, `a` =
+    /// solver tag).
     LaneError = 8,
     /// A resilient fix was graded (`code` = quality code, `a` = quality
     /// name tag).

@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use gps_repro::core::{
     fleet_digest, replay_journal, Bancroft, Dlg, Dlo, Engine, Epoch, EpochJob, NewtonRaphson,
-    ParallelEngine, SolveContext, Solver,
+    ParallelEngine, Solution, SolveContext, SolveError, Solver,
 };
 use gps_repro::faults::{FaultPlan, RuntimeFault, RuntimeFaultPlan};
 use gps_repro::obs::{format, paper_stations, DataSet, DatasetGenerator, Station};
@@ -379,6 +379,24 @@ fn throughput_stream(station: &Station, epochs: usize, m: usize, seed: u64) -> V
         .collect()
 }
 
+/// `true` when two lane outcomes agree bit for bit: a fix field by
+/// field, floats by `to_bits`; an error by its `Debug` text, which
+/// prints every float it carries in round-trip form.
+fn same_outcome(a: &Result<Solution, SolveError>, b: &Result<Solution, SolveError>) -> bool {
+    let bits = |s: &Solution| {
+        (
+            [s.position.x, s.position.y, s.position.z, s.residual_rms].map(f64::to_bits),
+            s.receiver_bias_m.map(f64::to_bits),
+            s.iterations,
+        )
+    };
+    match (a, b) {
+        (Ok(a), Ok(b)) => bits(a) == bits(b),
+        (Err(a), Err(b)) => format!("{a:?}") == format!("{b:?}"),
+        _ => false,
+    }
+}
+
 fn cmd_throughput(args: &Args) -> Result<(), String> {
     let quick = args.has("quick");
     let epochs: usize = args.flag_parse("epochs", if quick { 240 } else { 2_000 })?;
@@ -408,10 +426,41 @@ fn cmd_throughput(args: &Args) -> Result<(), String> {
 
     // Parallel run across the pool.
     let pool = ThreadPool::new(jobs);
-    let run = ParallelEngine::all_solvers().run(&pool, stream);
+    let stream = std::sync::Arc::new(stream);
+    let run = ParallelEngine::all_solvers().run_shared(&pool, std::sync::Arc::clone(&stream));
 
-    // Determinism spot check: the parallel merge must agree with the
-    // serial engine on every lane's outcome tallies.
+    // Determinism check: every (epoch, lane) outcome of the parallel
+    // merge must equal a serial engine's bit for bit, and every lane's
+    // tallies must agree.
+    if run.outcomes.len() != stream.len() {
+        return Err(format!(
+            "parallel run returned {} epochs for a {}-epoch stream",
+            run.outcomes.len(),
+            stream.len()
+        ));
+    }
+    let mut reference = Engine::all_solvers().with_timing(false);
+    for (index, (job, outcomes)) in stream.iter().zip(&run.outcomes).enumerate() {
+        reference.run_epoch(&job.measurements, job.predicted_receiver_bias_m);
+        if outcomes.len() != reference.lanes().len() {
+            return Err(format!(
+                "parallel run returned {} lane outcomes for epoch {index}",
+                outcomes.len()
+            ));
+        }
+        for (lane, parallel) in reference.lanes().iter().zip(outcomes) {
+            if !lane
+                .last()
+                .is_some_and(|serial| same_outcome(serial, parallel))
+            {
+                return Err(format!(
+                    "parallel/serial divergence at epoch {index} on {}: serial {:?} vs parallel {parallel:?}",
+                    lane.name(),
+                    lane.last()
+                ));
+            }
+        }
+    }
     for (lane, stats) in serial.lanes().iter().zip(&run.lane_stats) {
         if lane.stats().solved != stats.solved || lane.stats().failed != stats.failed {
             return Err(format!(
@@ -464,8 +513,11 @@ fn cmd_throughput(args: &Args) -> Result<(), String> {
     }
     // Exact-tail lane latency from the HDR histograms the parallel
     // lanes feed (core.lane_solve_us.<solver>, ≤ ~1 % relative error).
+    // A worker times each lane once per chunk of epochs, so a sample is
+    // that chunk's mean per-epoch latency: the tail shows slow chunks,
+    // not single slow solves.
     let snap = gps_telemetry::snapshot();
-    println!("lane latency, parallel solves (µs, exact-tail histogram):");
+    println!("lane latency, parallel chunk means (µs per epoch, exact-tail histogram):");
     for lane in &run.lane_names {
         let metric = format!("core.lane_solve_us.{lane}");
         let Some(h) = snap.histograms.iter().find(|h| h.name == metric) else {
@@ -768,7 +820,7 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
 /// One human-readable clause per flight record, decoding tags and the
 /// error/quality code tables.
 fn describe_record(r: &gps_telemetry::FlightRecord) -> String {
-    use gps_repro::core::{FixQuality, SolveError};
+    use gps_repro::core::FixQuality;
     use gps_telemetry::recorder::tag_text;
     use gps_telemetry::RecordKind as K;
     match r.kind() {
@@ -778,12 +830,17 @@ fn describe_record(r: &gps_telemetry::FlightRecord) -> String {
         Some(K::JobEnd) => format!("job_end     seq {} (busy {} µs)", r.a, r.b),
         Some(K::JobPanic) => format!("job_panic   seq {}", r.a),
         Some(K::EpochStart) => format!("epoch_start {} satellites", r.code),
-        Some(K::LaneSolve) => format!("lane_solve  {} ({} ns)", tag_text(r.a), r.b),
-        Some(K::LaneError) => format!(
-            "lane_error  {} {} ({} ns)",
+        // Older dumps wrote code 0 for a single epoch.
+        Some(K::LaneSolve) => format!(
+            "lane_solve  {} {} epoch(s) ({} ns)",
             tag_text(r.a),
-            SolveError::code_name(r.code).unwrap_or("unknown_error"),
+            r.code.max(1),
             r.b
+        ),
+        Some(K::LaneError) => format!(
+            "lane_error  {} {}",
+            tag_text(r.a),
+            SolveError::code_name(r.code).unwrap_or("unknown_error")
         ),
         Some(K::FixQuality) => format!(
             "fix_quality {} via {} (rung {})",
