@@ -14,7 +14,9 @@
 //! context solves its first epoch without touching the heap. The
 //! session probes cover the service's per-receiver epoch: a warm
 //! `Session::process` allocates nothing on a nominal epoch and only the
-//! returned exclusion list on a RAIM-retry epoch.
+//! returned exclusion list on a RAIM-retry epoch. The service probe
+//! covers a whole journaled round: its allocations do not grow with the
+//! epochs it serves.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -22,7 +24,8 @@ use std::cell::Cell;
 use gps_bench::{fixture_epochs, fixture_epochs_multi};
 use gps_core::{
     Bancroft, Dlg, Dlo, Engine, Epoch, EpochBlock, EpochJob, FixQuality, GlsPath, NewtonRaphson,
-    ParallelEngine, Raim, Session, SolveContext, Solver, WorkerLanes, BLOCK_LANES,
+    ParallelEngine, PositioningService, Raim, ServiceConfig, Session, SessionEpoch, SolveContext,
+    Solver, WorkerLanes, BLOCK_LANES,
 };
 
 struct CountingAlloc;
@@ -397,6 +400,70 @@ fn session_nominal_epoch_is_allocation_free_when_warm() {
     assert_eq!(
         allocs, 0,
         "Session::process allocated {allocs} time(s) over {SESSION_PROBE} nominal epochs"
+    );
+}
+
+/// Allocations of one warm, journaled, single-shard service round that
+/// serves one nominal epoch from each of `receivers` sessions.
+fn service_round_allocations(receivers: u64) -> u64 {
+    let epochs = fixture_epochs(8, 97);
+    assert!(epochs.len() > SESSION_WARMUP, "fixture too short");
+    let path = std::env::temp_dir().join(format!(
+        "gps_zero_alloc_round_{receivers}_{}.jrnl",
+        std::process::id()
+    ));
+    // One shard: the calling thread serves it, so this thread's counter
+    // sees the whole round.
+    let config = ServiceConfig {
+        workers: 1,
+        shards: 1,
+        queue_capacity: receivers as usize,
+        deadline: std::time::Duration::from_secs(30),
+        ..ServiceConfig::default()
+    };
+    let mut service = PositioningService::new(config)
+        .with_journal(&path)
+        .expect("journal");
+    let mut round = |meas: &Vec<gps_core::Measurement>| {
+        for receiver in 0..receivers {
+            let _ = service.ingest(SessionEpoch {
+                receiver,
+                dt_s: 30.0,
+                measurements: meas.clone(),
+            });
+        }
+        let mut result = None;
+        let allocs = allocations_during(|| result = Some(service.process_round()));
+        (allocs, result.expect("round ran"))
+    };
+    for meas in &epochs[..SESSION_WARMUP] {
+        let _ = round(meas);
+    }
+    let (allocs, probe) = round(&epochs[SESSION_WARMUP]);
+    assert_eq!(probe.completed_shards, 1);
+    assert_eq!(probe.outcomes.len(), receivers as usize);
+    for outcome in &probe.outcomes {
+        let quality = outcome.result.as_ref().map(|fix| fix.quality);
+        assert_eq!(
+            quality,
+            Ok(FixQuality::Nominal),
+            "probe epochs must be nominal"
+        );
+    }
+    drop(service);
+    std::fs::remove_file(&path).ok();
+    allocs
+}
+
+#[test]
+fn service_round_allocations_do_not_grow_with_its_epochs() {
+    // Per round: the channel, the outcome vectors sized from the queue,
+    // and the batch scratch. Nothing per epoch: sessions, journal
+    // encoding, framing and the write all reuse warm buffers.
+    let (eight, sixty_four) = (service_round_allocations(8), service_round_allocations(64));
+    assert_eq!(
+        eight, sixty_four,
+        "a warm round allocated {eight} time(s) at 8 epochs but {sixty_four} at 64"
     );
 }
 

@@ -8,9 +8,12 @@
 //!
 //! * **Sessions, sharded.** Each receiver id maps to one shard
 //!   (`receiver % shards`); a shard owns its sessions and its bounded
-//!   queue behind one mutex, so one pool job per shard per round
+//!   queue behind one mutex, so one job per busy shard per round
 //!   touches each lock once and receivers never contend across
-//!   shards. Sessions idle for `idle_eviction_rounds` are evicted.
+//!   shards. The calling thread runs one of those jobs itself (the
+//!   last busy shard with no chaos op armed) and the pool the rest.
+//!   Each job hands its outcomes to the round once, together with its
+//!   completion. Sessions idle for `idle_eviction_rounds` are evicted.
 //! * **Deadlines.** Every queued epoch carries its enqueue timestamp;
 //!   a worker that dequeues it past the deadline budget drops the
 //!   measurements and routes the session through
@@ -27,22 +30,29 @@
 //!   bits, and the session digest after — so [`replay_journal`]
 //!   can rebuild all session state after a SIGKILL and verify each
 //!   recomputed outcome bit-for-bit against what the live run logged.
+//!   A shard job writes each drained batch's records under one
+//!   journal lock, in one write.
 //! * **Chaos hooks.** [`PositioningService::set_chaos`] injects a
 //!   stall or a panic into a specific shard's job in a specific round;
 //!   with the pool's `inject_worker_exit` these drive the chaos
 //!   campaign without any special-cased production code paths.
 //!
-//! A worker panic mid-round leaves the un-dequeued tail of that
-//! shard's queue in place: the collector times out the missing
-//! completion (`service.round_failures`), and the next round processes
-//! the leftovers — usually as deadline expiries. Nothing is silently
-//! lost; every epoch ends as a fix, a typed error, or a counted shed.
+//! A shard job that panics mid-round, on a worker or on the calling
+//! thread, leaves the un-dequeued tail of that shard's queue in place.
+//! Its hand-off guard still delivers the outcomes it journaled, the
+//! round counts the missing completion (`service.round_failures`), and
+//! the next round processes the leftovers — usually as deadline
+//! expiries. Nothing is silently lost; every epoch ends as a fix, a
+//! typed error, or a counted shed. The one exception is a pool job
+//! that outlives the round timeout: it still journals every epoch it
+//! serves, but its outcomes reach no round result.
 //!
 //! [`ParallelEngine`]: crate::ParallelEngine
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::io;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -166,7 +176,8 @@ pub struct RoundResult {
     pub outcomes: Vec<EpochOutcome>,
     /// Shard jobs that reported completion.
     pub completed_shards: usize,
-    /// Shard jobs submitted this round.
+    /// Shard jobs run this round: one per busy shard, on the pool or
+    /// on the calling thread.
     pub expected_shards: usize,
     /// Sessions evicted for idleness at the end of the round.
     pub evicted: usize,
@@ -378,68 +389,93 @@ impl PositioningService {
         }
     }
 
-    /// Processes every shard's queue across the pool: one job per
-    /// non-empty shard, collected with a round timeout so a dead or
-    /// stalled worker costs `service.round_failures`, never a hang.
+    /// Processes every shard's queue: one pool job per busy shard but
+    /// one, which the calling thread serves itself — the last busy
+    /// shard with no chaos op armed, so chaos always runs on the pool.
+    /// The pool jobs are collected with a round timeout, counted from
+    /// their submission, so a dead or stalled worker costs
+    /// `service.round_failures`, never a hang; a panic in the caller's
+    /// shard is caught and counted there too.
     pub fn process_round(&mut self) -> RoundResult {
         self.round += 1;
         let round = self.round;
-        let (tx, rx) = mpsc::channel::<RoundMessage>();
+        let (tx, rx) = mpsc::channel::<ShardReport>();
         let mut expected = 0usize;
+        let mut queued = 0usize;
+        let mut own: Option<&Arc<Mutex<Shard>>> = None;
+        let chaos = self.chaos.lock().unwrap_or_else(|e| e.into_inner());
         for (shard_index, shard) in self.shards.iter().enumerate() {
-            let has_work = !shard
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .queue
-                .is_empty();
-            if !has_work {
+            let depth = shard.lock().unwrap_or_else(|e| e.into_inner()).queue.len();
+            if depth == 0 {
                 continue;
             }
             expected += 1;
-            let shard = Arc::clone(shard);
-            let tx = tx.clone();
-            let metrics = Arc::clone(&self.metrics);
-            let journal = self.journal.clone();
-            let chaos = self.chaos.lock().unwrap_or_else(|e| e.into_inner());
+            queued += depth;
             let chaos_op = chaos.get(&(round, shard_index)).copied();
-            drop(chaos);
-            let deadline = self.config.deadline;
-            self.pool.submit(move || {
+            // A chaos-free shard displaces the previous candidate for
+            // the calling thread onto the pool.
+            let pooled = match chaos_op {
+                Some(_) => Some(shard),
+                None => own.replace(shard),
+            };
+            if let Some(pooled) = pooled {
+                let pooled = Arc::clone(pooled);
+                let tx = tx.clone();
+                let metrics = Arc::clone(&self.metrics);
+                let journal = self.journal.clone();
+                let deadline = self.config.deadline;
+                self.pool.submit(move || {
+                    run_shard_round(
+                        &pooled,
+                        round,
+                        deadline,
+                        chaos_op,
+                        journal.as_deref(),
+                        &metrics,
+                        &tx,
+                    );
+                });
+            }
+        }
+        drop(chaos);
+        let wait_until = Instant::now() + self.config.round_timeout;
+        if let Some(shard) = own {
+            // The hand-off guard has reported whatever the shard
+            // journaled before a panic; the missing completion is the
+            // failure.
+            let _ = panic::catch_unwind(AssertUnwindSafe(|| {
                 run_shard_round(
-                    &shard,
+                    shard,
                     round,
-                    deadline,
-                    chaos_op,
-                    journal.as_deref(),
-                    &metrics,
+                    self.config.deadline,
+                    None,
+                    self.journal.as_deref(),
+                    &self.metrics,
                     &tx,
                 );
-            });
+            }));
         }
         drop(tx);
 
-        let mut outcomes = Vec::new();
+        let mut outcomes = Vec::with_capacity(queued);
         let mut completed = 0usize;
-        let wait_until = Instant::now() + self.config.round_timeout;
-        while completed < expected {
+        for _ in 0..expected {
+            // Past the timeout this still takes a report already sent.
             let remaining = wait_until.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
+            // Timeout, or every sender gone: a pool job that never ran.
+            let Ok(mut report) = rx.recv_timeout(remaining) else {
                 break;
-            }
-            match rx.recv_timeout(remaining) {
-                Ok(RoundMessage::Outcome(outcome)) => outcomes.push(outcome),
-                Ok(RoundMessage::ShardDone) => completed += 1,
-                Err(mpsc::RecvTimeoutError::Timeout) => break,
-                // All senders gone without every Done: panicked job(s).
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
+            };
+            outcomes.append(&mut report.outcomes);
+            completed += usize::from(report.completed);
         }
         if completed < expected {
             self.metrics
                 .round_failures
                 .add((expected - completed) as u64);
         }
-        outcomes.sort_by_key(|o| (o.receiver, o.seq));
+        // (receiver, seq) is unique, so the unstable sort is exact.
+        outcomes.sort_unstable_by_key(|o| (o.receiver, o.seq));
 
         // Idle eviction: a session that hasn't absorbed an epoch for
         // `idle_eviction_rounds` releases its warm state.
@@ -501,35 +537,53 @@ impl PositioningService {
     }
 }
 
-enum RoundMessage {
-    Outcome(EpochOutcome),
-    ShardDone,
+/// A shard job's one hand-off to its round.
+struct ShardReport {
+    /// Every outcome whose batch passed the journal step, stamped.
+    outcomes: Vec<EpochOutcome>,
+    /// Whether the job drained its queue.
+    completed: bool,
 }
 
-/// One dequeued epoch, fully processed inside the shard lock and
-/// carried out to the lock-free journaling/report phase of
-/// [`run_shard_round`]'s batch drain.
-struct DrainedEpoch {
-    receiver: u64,
-    seq: u64,
-    disposition: Disposition,
-    dt_s: f64,
-    predicted_bias_m: f64,
-    measurements: Vec<Measurement>,
-    result: Result<ResilientFix, SolveError>,
-    digest: u64,
-    enqueued: Instant,
+/// Sends the shard job's [`ShardReport`] when dropped: at the end of
+/// the job, or while a panic unwinds it, so the outcomes it journaled
+/// before the panic still reach the round.
+struct HandOff<'a> {
+    tx: &'a mpsc::Sender<ShardReport>,
+    outcomes: Vec<EpochOutcome>,
+    /// `outcomes[..journaled]` are past the journal step.
+    journaled: usize,
+    completed: bool,
+}
+
+impl Drop for HandOff<'_> {
+    fn drop(&mut self) {
+        let mut outcomes = std::mem::take(&mut self.outcomes);
+        // A panic mid-batch: those epochs never reached the journal.
+        outcomes.truncate(self.journaled);
+        // An error means the collector gave up on this round.
+        let _ = self.tx.send(ShardReport {
+            outcomes,
+            completed: self.completed,
+        });
+    }
 }
 
 /// One shard's work for one round: drain the queue, route each epoch
-/// by deadline, journal, and report. Runs inside a pool job. With a
-/// shallow queue the lock is taken per epoch so `ingest` interleaves
-/// cleanly; once the queue is at least [`crate::BLOCK_LANES`] deep the
-/// round drains a block's worth per lock acquisition instead —
-/// latency is backlog-dominated at that point, so amortizing the lock
-/// (and feeding the solvers back-to-back epochs) is pure win. Epoch
-/// outcomes are identical either way: FIFO order and per-epoch session
-/// processing are preserved, only the lock cadence changes.
+/// by deadline, journal, and hand the outcomes to the round once. Runs
+/// in a pool job or on the calling thread. With a shallow queue the
+/// lock is taken per epoch so `ingest` interleaves cleanly; once the
+/// queue is at least [`crate::BLOCK_LANES`] deep the round drains a
+/// block's worth per lock acquisition instead — latency is
+/// backlog-dominated at that point, so amortizing the lock (and feeding
+/// the solvers back-to-back epochs) is pure win. Epoch outcomes are
+/// identical either way: FIFO order and per-epoch session processing
+/// are preserved, only the lock cadence changes.
+///
+/// Each drained batch is encoded into one reused word buffer under the
+/// shard lock and written with one journal lock and one
+/// [`JournalWriter::append_batch`] after it drops; its outcomes are
+/// stamped with their latency after that write.
 fn run_shard_round(
     shard: &Mutex<Shard>,
     round: u64,
@@ -537,8 +591,14 @@ fn run_shard_round(
     chaos: Option<ChaosOp>,
     journal: Option<&Mutex<JournalWriter>>,
     metrics: &ServiceMetrics,
-    tx: &mpsc::Sender<RoundMessage>,
+    tx: &mpsc::Sender<ShardReport>,
 ) {
+    let mut hand_off = HandOff {
+        tx,
+        outcomes: Vec::new(),
+        journaled: 0,
+        completed: false,
+    };
     match chaos {
         Some(ChaosOp::Stall(pause)) => std::thread::sleep(pause),
         Some(ChaosOp::Panic) => {
@@ -546,19 +606,23 @@ fn run_shard_round(
             // resume_unwind skips the panic hook, so storms don't spam
             // stderr, but the pool's catch_unwind still counts it and
             // the round's collector still sees the missing completion.
-            std::panic::resume_unwind(Box::new("chaos: injected shard panic"));
+            panic::resume_unwind(Box::new("chaos: injected shard panic"));
         }
         None => {}
     }
-    // Reused batch scratch: epochs processed under one lock hold,
-    // journaled and reported after it drops.
-    let mut drained: Vec<DrainedEpoch> = Vec::with_capacity(crate::BLOCK_LANES);
+    // Reused batch scratch: the journal payloads back to back, where
+    // each one ends, and when each epoch was enqueued.
+    let mut words: Vec<u64> = Vec::new();
+    let mut ends: Vec<usize> = Vec::with_capacity(crate::BLOCK_LANES);
+    let mut enqueued_at: Vec<Instant> = Vec::with_capacity(crate::BLOCK_LANES);
     loop {
         let mut guard = shard.lock().unwrap_or_else(|e| e.into_inner());
         let depth = guard.queue.len();
         if depth == 0 {
             break;
         }
+        // Sized from the queue, so the round never regrows it.
+        hand_off.outcomes.reserve(depth);
         // Deep queue → batch drain (see fn docs); shallow → one epoch
         // per lock so ingest interleaves.
         let batch = if depth >= crate::BLOCK_LANES {
@@ -567,7 +631,9 @@ fn run_shard_round(
         } else {
             1
         };
-        drained.clear();
+        words.clear();
+        ends.clear();
+        enqueued_at.clear();
         for _ in 0..batch {
             let Some(queued) = guard.queue.pop_front() else {
                 break;
@@ -593,55 +659,54 @@ fn run_shard_round(
                     session.process(&epoch.measurements, epoch.dt_s),
                 )
             };
-            let digest = session.digest();
-            drained.push(DrainedEpoch {
+            if journal.is_some() {
+                JournalRecord {
+                    receiver: epoch.receiver,
+                    seq,
+                    disposition,
+                    dt_s: epoch.dt_s,
+                    predicted_bias_m,
+                    measurements: epoch.measurements,
+                    outcome: OutcomeBits::from_result(&result),
+                    digest: session.digest(),
+                }
+                .encode_into(&mut words);
+                ends.push(words.len());
+            }
+            hand_off.outcomes.push(EpochOutcome {
                 receiver: epoch.receiver,
                 seq,
                 disposition,
-                dt_s: epoch.dt_s,
-                predicted_bias_m,
-                measurements: epoch.measurements,
                 result,
-                digest,
-                enqueued,
+                latency_us: 0,
             });
+            enqueued_at.push(enqueued);
         }
         drop(guard);
 
-        for epoch in drained.drain(..) {
-            if let Some(journal) = journal {
-                let record = JournalRecord {
-                    receiver: epoch.receiver,
-                    seq: epoch.seq,
-                    disposition: epoch.disposition,
-                    dt_s: epoch.dt_s,
-                    predicted_bias_m: epoch.predicted_bias_m,
-                    measurements: epoch.measurements,
-                    outcome: OutcomeBits::from_result(&epoch.result),
-                    digest: epoch.digest,
-                };
-                let mut writer = journal.lock().unwrap_or_else(|e| e.into_inner());
-                if writer.append(&record.encode()).is_ok() {
-                    metrics.journal_records.inc();
-                    metrics.journal_bytes.set(writer.bytes_written() as f64);
-                }
-            }
-
-            let latency_us = epoch.enqueued.elapsed().as_micros() as u64;
-            metrics.latency_us.record(latency_us as f64);
-            let outcome = EpochOutcome {
-                receiver: epoch.receiver,
-                seq: epoch.seq,
-                disposition: epoch.disposition,
-                result: epoch.result,
-                latency_us,
-            };
-            if tx.send(RoundMessage::Outcome(outcome)).is_err() {
-                return; // collector gave up on this round
+        if let Some(journal) = journal {
+            let payloads = ends.iter().scan(0, |start, &end| {
+                let payload = words.get(*start..end);
+                *start = end;
+                payload
+            });
+            let mut writer = journal.lock().unwrap_or_else(|e| e.into_inner());
+            if writer.append_batch(payloads).is_ok() {
+                metrics.journal_records.add(ends.len() as u64);
+                metrics.journal_bytes.set(writer.bytes_written() as f64);
             }
         }
+
+        // Latency runs from ingest to the write that carries the record.
+        let written = Instant::now();
+        let batch_outcomes = hand_off.outcomes.iter_mut().skip(hand_off.journaled);
+        for (outcome, enqueued) in batch_outcomes.zip(&enqueued_at) {
+            outcome.latency_us = written.saturating_duration_since(*enqueued).as_micros() as u64;
+            metrics.latency_us.record(outcome.latency_us as f64);
+        }
+        hand_off.journaled = hand_off.outcomes.len();
     }
-    let _ = tx.send(RoundMessage::ShardDone);
+    hand_off.completed = true;
 }
 
 /// The journaled outcome, reduced to comparable bits.
@@ -689,30 +754,32 @@ struct JournalRecord {
 }
 
 impl JournalRecord {
+    /// Appends the record's payload words to `words`.
     // lint: wire_format
-    fn encode(&self) -> Vec<u64> {
-        let mut words =
-            Vec::with_capacity(self.measurements.len().saturating_mul(5).saturating_add(12));
-        words.push(self.receiver);
-        words.push(self.seq);
-        words.push(self.disposition.to_word());
-        words.push(self.dt_s.to_bits());
-        words.push(self.predicted_bias_m.to_bits());
-        words.push(self.measurements.len() as u64);
+    fn encode_into(&self, words: &mut Vec<u64>) {
+        words.reserve(self.measurements.len().saturating_mul(5).saturating_add(12));
+        words.extend_from_slice(&[
+            self.receiver,
+            self.seq,
+            self.disposition.to_word(),
+            self.dt_s.to_bits(),
+            self.predicted_bias_m.to_bits(),
+            self.measurements.len() as u64,
+        ]);
         for m in &self.measurements {
-            words.push(m.position.x.to_bits());
-            words.push(m.position.y.to_bits());
-            words.push(m.position.z.to_bits());
-            words.push(m.pseudorange.to_bits());
-            // Elevation feeds solver weighting, so replay needs it;
-            // NaN bits encode "unknown".
-            words.push(m.elevation.unwrap_or(f64::NAN).to_bits());
+            words.extend_from_slice(&[
+                m.position.x.to_bits(),
+                m.position.y.to_bits(),
+                m.position.z.to_bits(),
+                m.pseudorange.to_bits(),
+                // Elevation feeds solver weighting, so replay needs it;
+                // NaN bits encode "unknown".
+                m.elevation.unwrap_or(f64::NAN).to_bits(),
+            ]);
         }
-        words.push(self.outcome.kind);
-        words.push(self.outcome.err_code);
+        words.extend_from_slice(&[self.outcome.kind, self.outcome.err_code]);
         words.extend_from_slice(&self.outcome.position_bits);
         words.push(self.digest);
-        words
     }
 
     // lint: wire_format
@@ -1018,6 +1085,35 @@ mod tests {
         let round = service.process_round();
         assert_eq!(round.outcomes.len(), 1);
         assert_eq!(round.completed_shards, 1);
+    }
+
+    #[test]
+    fn chaos_on_the_last_busy_shard_still_runs_on_the_pool() {
+        // One worker, held busy: a shard job sent to the pool cannot
+        // report this round, while the calling thread's shard can.
+        let mut config = quick_config();
+        config.workers = 1;
+        config.round_timeout = Duration::from_millis(300);
+        let mut service = PositioningService::new(config);
+        for receiver in 0..4u64 {
+            let _ = service.ingest(good_epoch(receiver, 0.0));
+        }
+        let (release, held) = mpsc::channel::<()>();
+        service.pool().submit(move || {
+            let _ = held.recv();
+        });
+        service.set_chaos(1, 1, ChaosOp::Panic);
+        let round = service.process_round();
+        assert_eq!((round.expected_shards, round.completed_shards), (2, 1));
+        let receivers: Vec<u64> = round.outcomes.iter().map(|o| o.receiver).collect();
+        assert_eq!(receivers, [0, 2], "shard 0 runs on the calling thread");
+        release.send(()).expect("worker still holds the receiver");
+        // The armed job panics before touching its queue; the next
+        // round serves that queue.
+        let round = service.process_round();
+        assert_eq!((round.expected_shards, round.completed_shards), (1, 1));
+        let receivers: Vec<u64> = round.outcomes.iter().map(|o| o.receiver).collect();
+        assert_eq!(receivers, [1, 3]);
     }
 
     #[test]

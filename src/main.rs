@@ -412,21 +412,25 @@ fn cmd_throughput(args: &Args) -> Result<(), String> {
         "throughput: {epochs} epochs × {m} satellites from {} (seed {seed})",
         station.id()
     );
-    let stream = throughput_stream(&station, epochs, m, seed);
+    let stream = std::sync::Arc::new(throughput_stream(&station, epochs, m, seed));
+
+    // The pool starts before the serial baseline, so its threads are up
+    // by the time the parallel runs begin.
+    let pool = ThreadPool::new(jobs);
 
     // Serial baseline: the batched Engine, timing disabled so both
     // paths run the identical per-epoch work and the wall clock is the
     // only measurement.
     let mut serial = Engine::all_solvers().with_timing(false);
     let serial_start = std::time::Instant::now();
-    for job in &stream {
+    for job in stream.iter() {
         serial.run_epoch(&job.measurements, job.predicted_receiver_bias_m);
     }
     let serial_elapsed = serial_start.elapsed();
 
-    // Parallel run across the pool.
-    let pool = ThreadPool::new(jobs);
-    let stream = std::sync::Arc::new(stream);
+    // One untimed pass right before the timed one, so every worker is
+    // running, not waking from a long idle, when the timed run starts.
+    let _ = ParallelEngine::all_solvers().run_shared(&pool, std::sync::Arc::clone(&stream));
     let run = ParallelEngine::all_solvers().run_shared(&pool, std::sync::Arc::clone(&stream));
 
     // Determinism check: every (epoch, lane) outcome of the parallel
@@ -512,7 +516,8 @@ fn cmd_throughput(args: &Args) -> Result<(), String> {
         );
     }
     // Exact-tail lane latency from the HDR histograms the parallel
-    // lanes feed (core.lane_solve_us.<solver>, ≤ ~1 % relative error).
+    // lanes feed (core.lane_solve_us.<solver>, ≤ ~1 % relative error),
+    // over the warm-up pass and the timed one.
     // A worker times each lane once per chunk of epochs, so a sample is
     // that chunk's mean per-epoch latency: the tail shows slow chunks,
     // not single slow solves.

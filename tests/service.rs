@@ -26,6 +26,10 @@ fn fleet_digest_of(stdout: &str) -> String {
         .to_owned()
 }
 
+/// The live fleet digest of `serve --quick --seed 99`, the same in debug
+/// and release builds: a service change that moves any outcome moves it.
+const SERVE_QUICK_SEED_99_DIGEST: &str = "7ad6b7f27af442a4";
+
 #[test]
 fn serve_then_replay_has_fleet_digest_parity() {
     let dir = temp_dir("parity");
@@ -45,6 +49,7 @@ fn serve_then_replay_has_fleet_digest_parity() {
     let serve_out = String::from_utf8_lossy(&serve.stdout);
     assert!(serve.status.success(), "{serve_out}");
     let live_digest = fleet_digest_of(&serve_out);
+    assert_eq!(live_digest, SERVE_QUICK_SEED_99_DIGEST, "{serve_out}");
 
     // A fresh process rebuilds every session from the journal alone and
     // must land on the identical fleet digest.
