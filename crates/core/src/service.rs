@@ -31,7 +31,9 @@
 //!   can rebuild all session state after a SIGKILL and verify each
 //!   recomputed outcome bit-for-bit against what the live run logged.
 //!   A shard job writes each drained batch's records under one
-//!   journal lock, in one write.
+//!   journal lock, in one write. Replay splits the records by receiver
+//!   across the available cores and reports the same whatever their
+//!   count.
 //! * **Chaos hooks.** [`PositioningService::set_chaos`] injects a
 //!   stall or a panic into a specific shard's job in a specific round;
 //!   with the pool's `inject_worker_exit` these drive the chaos
@@ -860,15 +862,84 @@ impl ReplayReport {
 /// outcome bits, clock prediction, and digest chain against what the
 /// live run journaled. Tolerates a torn tail (reported, not fatal).
 ///
+/// A session depends only on its own receiver's records, in journal
+/// order, so the records are split by receiver into one partition per
+/// available core: the calling thread replays one and a scoped thread
+/// each of the others. The report is the same whatever the core count.
+///
 /// # Errors
 ///
 /// Returns an error only for IO failures or a non-journal file.
 pub fn replay_journal(path: &Path) -> io::Result<ReplayReport> {
     let reader = JournalReader::open(path)?;
+    Ok(replay_partitioned(
+        &reader,
+        gps_pool::available_parallelism(),
+    ))
+}
+
+/// Replays `reader`'s records in `parts` receiver partitions, each on
+/// its own thread, and merges their reports. A partition that cannot
+/// get a thread runs on the caller; a panic in any partition reaches
+/// the caller.
+fn replay_partitioned(reader: &JournalReader, parts: usize) -> ReplayReport {
+    let records = reader.records();
+    let parts = parts.max(1);
+    let mut report = std::thread::scope(|scope| {
+        let spawned: Vec<_> = (1..parts)
+            .map(|part| {
+                std::thread::Builder::new()
+                    .name(format!("replay-{part}"))
+                    .spawn_scoped(scope, move || replay_partition(records, part, parts))
+                    .map_err(|_| part)
+            })
+            .collect();
+        let mut report = replay_partition(records, 0, parts);
+        for partition in spawned {
+            let mut other = match partition {
+                Ok(thread) => thread
+                    .join()
+                    .unwrap_or_else(|panic| panic::resume_unwind(panic)),
+                Err(part) => replay_partition(records, part, parts),
+            };
+            report.records += other.records;
+            report.malformed += other.malformed;
+            report.mismatches += other.mismatches;
+            report.digests.append(&mut other.digests);
+        }
+        report
+    });
+    report.truncated = reader.truncated();
+    report.digests.sort_unstable();
+    report
+}
+
+/// The partition of `parts` a record belongs to: a multiplicative hash
+/// of its receiver id (payload word 0), so ids that share a stride
+/// still spread. A record too short to name a receiver goes to 0.
+fn record_partition(words: &[u64], parts: usize) -> usize {
+    let Some(&receiver) = words.first() else {
+        return 0;
+    };
+    // Fibonacci hashing, then the high word of a multiply maps the
+    // mixed id onto 0..parts.
+    let mixed = receiver.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    ((u128::from(mixed) * parts as u128) >> 64) as usize
+}
+
+/// Replays the records of partition `part` of `parts`, in journal
+/// order, through fresh sessions. The report's digests are unsorted,
+/// and it leaves `truncated` to the caller.
+fn replay_partition(records: &[Vec<u64>], part: usize, parts: usize) -> ReplayReport {
     let mut sessions: HashMap<u64, Session> = HashMap::new();
+    let mut replayed = 0usize;
     let mut malformed = 0usize;
     let mut mismatches = 0usize;
-    for words in reader.records() {
+    let own = records
+        .iter()
+        .filter(|words| record_partition(words, parts) == part);
+    for words in own {
+        replayed += 1;
         let Some(record) = JournalRecord::decode(words) else {
             malformed += 1;
             continue;
@@ -894,15 +965,13 @@ pub fn replay_journal(path: &Path) -> io::Result<ReplayReport> {
             mismatches += 1;
         }
     }
-    let mut digests: Vec<(u64, u64)> = sessions.values().map(|s| (s.id(), s.digest())).collect();
-    digests.sort_unstable();
-    Ok(ReplayReport {
-        records: reader.records().len(),
-        truncated: reader.truncated(),
+    ReplayReport {
+        records: replayed,
+        truncated: false,
         malformed,
         mismatches,
-        digests,
-    })
+        digests: sessions.values().map(|s| (s.id(), s.digest())).collect(),
+    }
 }
 
 /// Collapses per-receiver digests into one fleet digest (order
@@ -1170,6 +1239,97 @@ mod tests {
         assert!(report.records < 12, "the torn record must be dropped");
         assert_eq!(report.mismatches, 0, "intact prefix must verify");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn replay_reports_the_same_at_every_partition_count() {
+        let path = std::env::temp_dir().join(format!(
+            "gps_service_journal_parts_{}.bin",
+            std::process::id()
+        ));
+        // Nine receivers on a stride of 4, one round of deadline expiries.
+        let receivers: Vec<u64> = (0..9).map(|i| 4 * i).collect();
+        let mut config = quick_config();
+        config.queue_capacity = 32;
+        let mut service = PositioningService::new(config)
+            .with_journal(&path)
+            .expect("journal");
+        for round in 0..5 {
+            service.config.deadline = if round == 3 {
+                Duration::ZERO
+            } else {
+                config.deadline
+            };
+            for &receiver in &receivers {
+                let _ = service.ingest(good_epoch(receiver, 10.0 + round as f64));
+            }
+            let _ = service.process_round();
+        }
+        service.sync_journal().expect("sync");
+        drop(service);
+        let mut records = JournalReader::open(&path).expect("read").records().to_vec();
+        std::fs::remove_file(&path).ok();
+        assert!(records.iter().any(|words| {
+            JournalRecord::decode(words)
+                .is_some_and(|r| r.disposition == Disposition::DeadlineExpired)
+        }));
+
+        // Receiver 12's second and third records out of sequence, as a
+        // pool job that outlived its round can leave them; a record too
+        // short to decode, and one too short to name a receiver.
+        let of_12: Vec<usize> = (0..records.len())
+            .filter(|&i| records[i].first() == Some(&12))
+            .collect();
+        records.swap(of_12[1], of_12[2]);
+        records.insert(20, vec![20, 1]);
+        records.insert(30, Vec::new());
+        let mut writer = JournalWriter::create(&path, 8).expect("journal");
+        writer
+            .append_batch(records.iter().map(Vec::as_slice))
+            .expect("append");
+        drop(writer);
+        let bytes = std::fs::read(&path).expect("read");
+        std::fs::remove_file(&path).ok();
+        // A torn tail.
+        let reader = JournalReader::from_bytes(&bytes[..bytes.len() - 13]).expect("decode");
+
+        let serial = replay_partitioned(&reader, 1);
+        assert!(serial.truncated);
+        assert_eq!(serial.records, records.len() - 1);
+        assert_eq!(serial.malformed, 2);
+        assert!(serial.mismatches > 0);
+        assert_eq!(serial.digests.len(), receivers.len());
+        for parts in [2, 3, 7] {
+            let report = replay_partitioned(&reader, parts);
+            assert_eq!(
+                (
+                    report.records,
+                    report.truncated,
+                    report.malformed,
+                    report.mismatches,
+                    &report.digests
+                ),
+                (
+                    serial.records,
+                    serial.truncated,
+                    serial.malformed,
+                    serial.mismatches,
+                    &serial.digests
+                ),
+                "{parts} partitions"
+            );
+        }
+        // Ids on a stride still reach every partition.
+        for parts in [2, 3] {
+            for part in 0..parts {
+                assert!(
+                    receivers
+                        .iter()
+                        .any(|&id| record_partition(&[id], parts) == part),
+                    "no receiver in partition {part} of {parts}"
+                );
+            }
+        }
     }
 
     #[test]

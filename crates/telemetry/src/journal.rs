@@ -26,13 +26,15 @@
 //!   that boundary is split there. The bytes are the same whichever
 //!   way the records were grouped.
 //! * **Checksums four frames at a time.** FNV-1a is a serial chain of
-//!   multiplies, so a batch checksums its frames in groups of four
-//!   with the four chains interleaved; each checksum is bit-identical
-//!   to the scalar one the reader verifies.
-//! * **Torn writes cannot poison a replay.** [`JournalReader`] walks
-//!   the frames in one pass over a single read buffer (no per-record
-//!   copies) and stops cleanly at the first incomplete or
-//!   checksum-corrupt record — a process killed mid-`append` costs the
+//!   multiplies, so the writer checksums a batch's frames, and the
+//!   reader verifies a journal's, in groups of four with the four
+//!   chains interleaved. A ragged last group runs the scalar chain, and
+//!   every checksum is bit-identical to it.
+//! * **Torn writes cannot poison a replay.** [`JournalReader`] reads
+//!   the file into one buffer, walks the frame headers, copies each
+//!   payload into its own `Vec` and then verifies the checksums. It
+//!   keeps the records before the first incomplete, out-of-sequence or
+//!   checksum-corrupt frame — a process killed mid-`append` costs the
 //!   tail record, never a panic and never a misparse of the bytes that
 //!   follow.
 //! * **Self-verifying.** The sequence word must increase by exactly one
@@ -137,12 +139,14 @@ fn frame_checksums(seq: u64, payloads: [&[u64]; CHECKSUM_LANES]) -> [u64; CHECKS
 
 /// Hands each of `payloads`, as the frames `seq, seq + 1, …`, to
 /// `frame` with its checksum: [`frame_checksums`] for every full group
-/// of four, [`frame_checksum`] for a ragged last group.
-fn for_each_checksummed<'p>(
+/// of four, [`frame_checksum`] for a ragged last group. The first error
+/// `frame` returns stops the walk. The writer frames records and the
+/// reader verifies them through this one path.
+fn for_each_checksummed<'p, E>(
     seq: u64,
     payloads: impl IntoIterator<Item = &'p [u64]>,
-    mut frame: impl FnMut(&'p [u64], u64) -> io::Result<()>,
-) -> io::Result<()> {
+    mut frame: impl FnMut(&'p [u64], u64) -> Result<(), E>,
+) -> Result<(), E> {
     let mut group: [&[u64]; CHECKSUM_LANES] = [&[]; CHECKSUM_LANES];
     let mut grouped = 0usize;
     let mut next_seq = seq;
@@ -263,10 +267,7 @@ impl JournalWriter {
     // lint: wire_format
     fn frame(&mut self, payload: &[u64], checksum: u64) -> io::Result<()> {
         let start = self.scratch.len();
-        let end = payload
-            .len()
-            .checked_add(3)
-            .and_then(|words| words.checked_mul(8))
+        let end = frame_bytes(payload.len())
             .and_then(|bytes| bytes.checked_add(start))
             .ok_or_else(|| {
                 io::Error::new(io::ErrorKind::InvalidInput, "journal record too long")
@@ -315,6 +316,34 @@ impl JournalWriter {
     }
 }
 
+/// Bytes in the frame of a `words`-word payload: length, sequence,
+/// payload and checksum.
+fn frame_bytes(words: usize) -> Option<usize> {
+    words.checked_add(3)?.checked_mul(8)
+}
+
+/// Splits frame `seq` off the front of `bytes`: its payload and the
+/// bytes after the frame. `None` when the length word is past
+/// [`MAX_RECORD_WORDS`], the sequence word is not `seq`, or the frame
+/// is incomplete. The checksum is left to the caller.
+// lint: wire_format
+fn split_frame(bytes: &[u8], seq: u64) -> Option<(Vec<u64>, &[u8])> {
+    let mut header = bytes.chunks_exact(8).map(le_word);
+    let (len, frame_seq) = (header.next()?, header.next()?);
+    if len > MAX_RECORD_WORDS || frame_seq != seq {
+        return None;
+    }
+    let words = usize::try_from(len).ok()?;
+    let (frame, rest) = bytes.split_at_checked(frame_bytes(words)?)?;
+    let payload = frame.get(16..)?.chunks_exact(8).take(words);
+    Some((payload.map(le_word).collect(), rest))
+}
+
+/// The little-endian word in an 8-byte chunk.
+fn le_word(chunk: &[u8]) -> u64 {
+    chunk.try_into().map_or(0, u64::from_le_bytes)
+}
+
 /// A decoded journal: every complete record, plus whether the file
 /// ended in a torn (incomplete or corrupt) tail.
 #[derive(Debug, Clone)]
@@ -325,7 +354,7 @@ pub struct JournalReader {
 }
 
 impl JournalReader {
-    /// Reads and verifies a journal file in one pass.
+    /// Reads and verifies a journal file.
     ///
     /// Decoding stops cleanly at the first incomplete frame, checksum
     /// mismatch or out-of-order sequence number — everything before
@@ -350,67 +379,43 @@ impl JournalReader {
     /// Returns `InvalidData` when the magic header is absent.
     // lint: wire_format
     pub fn from_bytes(bytes: &[u8]) -> io::Result<Self> {
-        if bytes.get(..JOURNAL_MAGIC.len()) != Some(JOURNAL_MAGIC.as_slice()) {
+        let Some(mut rest) = bytes.strip_prefix(JOURNAL_MAGIC.as_slice()) else {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 "not a GPSJRNL1 journal (bad magic)",
             ));
-        }
-        let mut cursor = JOURNAL_MAGIC.len();
-        let word = |at: usize| -> Option<u64> {
-            let end = at.checked_add(8)?;
-            let chunk = bytes.get(at..end)?;
-            let mut le = [0u8; 8];
-            le.copy_from_slice(chunk);
-            Some(u64::from_le_bytes(le))
         };
+        // First each frame's structure, up to the first that fails it.
         let mut records = Vec::new();
-        let mut truncated = false;
-        let mut expect_seq = 0u64;
-        while cursor < bytes.len() {
-            let frame = (|| {
-                let len = word(cursor)?;
-                if len > MAX_RECORD_WORDS {
-                    return None;
-                }
-                let seq = word(cursor.checked_add(8)?)?;
-                if seq != expect_seq {
-                    return None;
-                }
-                let words = len as usize;
-                let mut payload = Vec::with_capacity(words);
-                // Checked cursor walk: `at` steps one word at a time,
-                // so a hostile length can never wrap the arithmetic.
-                let mut at = cursor.checked_add(16)?;
-                for _ in 0..words {
-                    payload.push(word(at)?);
-                    at = at.checked_add(8)?;
-                }
-                let checksum = word(at)?;
-                if checksum != frame_checksum(len, seq, &payload) {
-                    return None;
-                }
-                let advance = at.checked_add(8)?.checked_sub(cursor)?;
-                Some((payload, advance))
-            })();
-            match frame {
-                Some((payload, advance)) => {
-                    records.push(payload);
-                    cursor += advance;
-                    expect_seq += 1;
-                }
-                None => {
-                    // Torn or corrupt tail: stop at the last complete
-                    // record rather than guessing at resynchronization.
-                    truncated = true;
-                    break;
-                }
-            }
+        let mut seq = 0u64;
+        while let Some((payload, tail)) = split_frame(rest, seq) {
+            records.push(payload);
+            rest = tail;
+            seq = seq.wrapping_add(1);
         }
+        // Then the checksums, four frames at a time, against the word
+        // that ends each frame. The journal ends before the first frame
+        // whose structure or checksum is bad, rather than guessing at
+        // resynchronization.
+        let mut verified = 0usize;
+        let mut bytes_read = JOURNAL_MAGIC.len();
+        let _ = for_each_checksummed(0, records.iter().map(Vec::as_slice), |payload, checksum| {
+            let end = frame_bytes(payload.len())
+                .and_then(|frame| frame.checked_add(bytes_read))
+                .ok_or(())?;
+            let stored = bytes.get(end.saturating_sub(8)..end).map(le_word);
+            if stored != Some(checksum) {
+                return Err(());
+            }
+            verified = verified.saturating_add(1);
+            bytes_read = end;
+            Ok(())
+        });
+        records.truncate(verified);
         Ok(JournalReader {
             records,
-            truncated,
-            bytes_read: cursor as u64,
+            truncated: bytes_read < bytes.len(),
+            bytes_read: bytes_read as u64,
         })
     }
 
@@ -607,7 +612,7 @@ mod tests {
                 payloads.iter().map(Vec::as_slice),
                 |payload, checksum| {
                     seen.push((payload, checksum));
-                    Ok(())
+                    Ok::<(), std::convert::Infallible>(())
                 },
             )
             .expect("the closure never fails");
@@ -617,6 +622,168 @@ mod tests {
                 assert_eq!(checksum, expected, "{frames} frames, seq {seq}");
             }
         }
+    }
+
+    /// The journal of `payloads`, as bytes.
+    fn journal_bytes(name: &str, payloads: &[Vec<u64>]) -> Vec<u8> {
+        let path = temp(name);
+        let mut w = JournalWriter::create(&path, 4).expect("create");
+        w.append_batch(payloads.iter().map(Vec::as_slice))
+            .expect("append_batch");
+        drop(w);
+        let bytes = std::fs::read(&path).expect("read");
+        std::fs::remove_file(&path).ok();
+        bytes
+    }
+
+    /// Where each frame of the journal of `payloads` starts, and where
+    /// the last one ends.
+    fn frame_starts(payloads: &[Vec<u64>]) -> Vec<usize> {
+        let starts = payloads.iter().scan(JOURNAL_MAGIC.len(), |end, payload| {
+            *end += (payload.len() + 3) * 8;
+            Some(*end)
+        });
+        std::iter::once(JOURNAL_MAGIC.len()).chain(starts).collect()
+    }
+
+    /// The reader's result as (records, truncated, bytes read), or `None`
+    /// for a missing magic.
+    type Decoded = Option<(Vec<Vec<u64>>, bool, u64)>;
+
+    fn decode(bytes: &[u8]) -> Decoded {
+        let r = JournalReader::from_bytes(bytes).ok()?;
+        Some((r.records().to_vec(), r.truncated(), r.bytes_read()))
+    }
+
+    /// The reference decoder: one frame at a time, each checked in full,
+    /// scalar checksum included, before the next is read.
+    fn reference_decode(bytes: &[u8]) -> Decoded {
+        if bytes.get(..JOURNAL_MAGIC.len()) != Some(JOURNAL_MAGIC.as_slice()) {
+            return None;
+        }
+        let word = |at: usize| -> Option<u64> {
+            let chunk = bytes.get(at..at.checked_add(8)?)?;
+            Some(u64::from_le_bytes(chunk.try_into().ok()?))
+        };
+        let mut records = Vec::new();
+        let mut cursor = JOURNAL_MAGIC.len();
+        while cursor < bytes.len() {
+            let seq = records.len() as u64;
+            let frame = (|| {
+                let len = word(cursor)?;
+                if len > MAX_RECORD_WORDS || word(cursor + 8)? != seq {
+                    return None;
+                }
+                let payload = (0..len as usize)
+                    .map(|i| word(cursor + 16 + 8 * i))
+                    .collect::<Option<Vec<u64>>>()?;
+                let end = cursor + 16 + 8 * payload.len();
+                (word(end)? == frame_checksum(len, seq, &payload)).then_some((payload, end + 8))
+            })();
+            let Some((payload, end)) = frame else {
+                return Some((records, true, cursor as u64));
+            };
+            records.push(payload);
+            cursor = end;
+        }
+        Some((records, false, cursor as u64))
+    }
+
+    #[test]
+    fn a_corrupt_byte_in_frame_k_keeps_exactly_k_records() {
+        let payloads = ragged_payloads(9);
+        let bytes = journal_bytes("corrupt_each", &payloads);
+        let starts = frame_starts(&payloads);
+        assert_eq!(starts.last(), Some(&bytes.len()));
+        for (k, frame) in starts.windows(2).enumerate() {
+            let (start, end) = (frame[0], frame[1]);
+            for at in start..end {
+                let part = match at - start {
+                    0..8 => "length",
+                    8..16 => "sequence",
+                    offset if offset + 8 >= end - start => "checksum",
+                    _ => "payload",
+                };
+                for flip in [0x01, 0x80, 0xff] {
+                    let mut damaged = bytes.clone();
+                    damaged[at] ^= flip;
+                    let expected = (payloads[..k].to_vec(), true, start as u64);
+                    assert_eq!(
+                        decode(&damaged),
+                        Some(expected),
+                        "frame {k}, {part} byte {at}, flip {flip:#04x}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn damaged_journals_decode_like_the_one_frame_reference() {
+        use gps_rng::rngs::StdRng;
+        use gps_rng::{Rng, SeedableRng};
+
+        let payloads = ragged_payloads(13);
+        let clean = journal_bytes("fuzz_clean", &payloads);
+        let starts = frame_starts(&payloads);
+        // Frames with the same sequence numbers and other payloads: each
+        // one spliced in at its own index is a valid frame.
+        let foreign_payloads: Vec<Vec<u64>> = payloads
+            .iter()
+            .map(|payload| payload.iter().map(|w| !w).collect())
+            .collect();
+        let foreign = journal_bytes("fuzz_foreign", &foreign_payloads);
+        let foreign_starts = frame_starts(&foreign_payloads);
+        let frame =
+            |bytes: &[u8], starts: &[usize], i: usize| bytes[starts[i]..starts[i + 1]].to_vec();
+
+        let mut rng = StdRng::seed_from_u64(0x4a52_4e4c);
+        let mut kept = vec![0usize; payloads.len() + 1];
+        for copy in 0..2_000 {
+            let mut bytes = clean.clone();
+            for _ in 0..rng.gen_range(1..4) {
+                // A frame start of the clean journal, which earlier
+                // faults may have moved off a frame boundary.
+                let at = starts[rng.gen_range(0..starts.len())].min(bytes.len());
+                let i = rng.gen_range(0..payloads.len());
+                match rng.gen_range(0..6) {
+                    0 => {
+                        let byte = rng.gen_range(0..bytes.len());
+                        bytes[byte] ^= 1 << rng.gen_range(0..8);
+                    }
+                    1 => bytes.truncate(rng.gen_range(0..bytes.len() + 1)),
+                    2 | 3 if at + 8 <= bytes.len() => {
+                        let word = &mut bytes[at..at + 8];
+                        let len = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+                        let lie = [
+                            u64::MAX,
+                            MAX_RECORD_WORDS + 1,
+                            MAX_RECORD_WORDS,
+                            len.wrapping_add(1),
+                            len.wrapping_sub(1),
+                        ][rng.gen_range(0..5)];
+                        word.copy_from_slice(&lie.to_le_bytes());
+                    }
+                    4 => {
+                        let duplicate = frame(&clean, &starts, i);
+                        bytes.splice(at..at, duplicate);
+                    }
+                    _ => {
+                        let spliced = frame(&foreign, &foreign_starts, i);
+                        let at = starts[i].min(bytes.len());
+                        let end = (at + spliced.len()).min(bytes.len());
+                        bytes.splice(at..end, spliced);
+                    }
+                }
+            }
+            let decoded = decode(&bytes);
+            assert_eq!(decoded, reference_decode(&bytes), "copy {copy}");
+            if let Some((records, _, _)) = decoded {
+                kept[records.len()] += 1;
+            }
+        }
+        // The damage reaches every frame, and some copies stay whole.
+        assert!(kept.iter().all(|&copies| copies > 0), "{kept:?}");
     }
 
     #[test]

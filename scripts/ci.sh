@@ -157,6 +157,11 @@ digest=$(echo "$out" | sed -n 's/^fleet digest \([0-9a-f]\{16\}\)$/\1/p' | head 
 cargo run --release --offline -q -- replay "$tmpdir/fleet.jrnl" \
     --verify-digest "$digest" \
     || { echo "smoke: journal replay lost digest parity"; exit 1; }
+# Replay splits the journal by receiver into one partition per available
+# core; on one CPU it runs a single partition and must agree.
+taskset -c 0 cargo run --release --offline -q -- replay "$tmpdir/fleet.jrnl" \
+    --verify-digest "$digest" \
+    || { echo "smoke: one-CPU journal replay lost digest parity"; exit 1; }
 
 echo "==> torn-journal smoke (kill mid-run + torn tail must replay clean)"
 cargo run --release --offline -q -- serve --quick --seed 7 --kill-after 7 \

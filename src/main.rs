@@ -414,23 +414,7 @@ fn cmd_throughput(args: &Args) -> Result<(), String> {
     );
     let stream = std::sync::Arc::new(throughput_stream(&station, epochs, m, seed));
 
-    // The pool starts before the serial baseline, so its threads are up
-    // by the time the parallel runs begin.
     let pool = ThreadPool::new(jobs);
-
-    // Serial baseline: the batched Engine, timing disabled so both
-    // paths run the identical per-epoch work and the wall clock is the
-    // only measurement.
-    let mut serial = Engine::all_solvers().with_timing(false);
-    let serial_start = std::time::Instant::now();
-    for job in stream.iter() {
-        serial.run_epoch(&job.measurements, job.predicted_receiver_bias_m);
-    }
-    let serial_elapsed = serial_start.elapsed();
-
-    // One untimed pass right before the timed one, so every worker is
-    // running, not waking from a long idle, when the timed run starts.
-    let _ = ParallelEngine::all_solvers().run_shared(&pool, std::sync::Arc::clone(&stream));
     let run = ParallelEngine::all_solvers().run_shared(&pool, std::sync::Arc::clone(&stream));
 
     // Determinism check: every (epoch, lane) outcome of the parallel
@@ -465,7 +449,7 @@ fn cmd_throughput(args: &Args) -> Result<(), String> {
             }
         }
     }
-    for (lane, stats) in serial.lanes().iter().zip(&run.lane_stats) {
+    for (lane, stats) in reference.lanes().iter().zip(&run.lane_stats) {
         if lane.stats().solved != stats.solved || lane.stats().failed != stats.failed {
             return Err(format!(
                 "parallel/serial divergence on {}: serial {}/{} vs parallel {}/{}",
@@ -478,46 +462,25 @@ fn cmd_throughput(args: &Args) -> Result<(), String> {
         }
     }
 
-    let serial_s = serial_elapsed.as_secs_f64();
-    let parallel_s = run.elapsed.as_secs_f64();
-    let speedup = if parallel_s > 0.0 {
-        serial_s / parallel_s
-    } else {
-        0.0
-    };
+    // A run this short times a worker still waking up as a slow one, so
+    // it prints no rates: speed is the benchmark of record's to measure.
     println!(
-        "serial   : {serial_s:>8.3} s  ({:>10.0} fixes/s total)",
-        run.lane_stats.iter().map(|s| s.solved).sum::<u64>() as f64 / serial_s.max(1e-12)
-    );
-    println!(
-        "parallel : {parallel_s:>8.3} s  ({:>10.0} fixes/s total)  jobs {}  speedup {speedup:.2}x",
-        run.total_fixes_per_sec(),
+        "parallel : jobs {}, every (epoch, lane) outcome equal to a serial engine's",
         run.workers.len()
     );
-    println!("per lane (fixes/s = solved epochs / batch wall-clock):");
+    println!("per lane:");
     for (lane, stats) in run.lane_names.iter().zip(&run.lane_stats) {
-        let serial_rate = stats.solved as f64 / serial_s.max(1e-12);
-        let parallel_rate = stats.solved as f64 / parallel_s.max(1e-12);
         println!(
-            "  {lane:<9} solved {:>6}  failed {:>4}  serial {serial_rate:>9.0}/s  parallel {parallel_rate:>9.0}/s  speedup {:>5.2}x",
-            stats.solved,
-            stats.failed,
-            parallel_rate / serial_rate.max(1e-12),
+            "  {lane:<9} solved {:>6}  failed {:>4}",
+            stats.solved, stats.failed
         );
     }
     println!("per worker:");
     for w in &run.workers {
-        println!(
-            "  worker {:<2} epochs {:>6}  busy {:>8.3} s  utilization {:>5.1}%",
-            w.worker,
-            w.epochs,
-            w.busy.as_secs_f64(),
-            100.0 * w.utilization(run.elapsed)
-        );
+        println!("  worker {:<2} epochs {:>6}", w.worker, w.epochs);
     }
     // Exact-tail lane latency from the HDR histograms the parallel
-    // lanes feed (core.lane_solve_us.<solver>, ≤ ~1 % relative error),
-    // over the warm-up pass and the timed one.
+    // lanes feed (core.lane_solve_us.<solver>, ≤ ~1 % relative error).
     // A worker times each lane once per chunk of epochs, so a sample is
     // that chunk's mean per-epoch latency: the tail shows slow chunks,
     // not single slow solves.
