@@ -310,19 +310,6 @@ pub struct WorkerReport {
     pub lane_time: Vec<Duration>,
 }
 
-impl WorkerReport {
-    /// Fraction of `elapsed` this worker spent solving, in `[0, 1]`-ish
-    /// (can exceed 1 marginally through clock granularity).
-    #[must_use]
-    pub fn utilization(&self, elapsed: Duration) -> f64 {
-        if elapsed.is_zero() {
-            0.0
-        } else {
-            self.busy.as_secs_f64() / elapsed.as_secs_f64()
-        }
-    }
-}
-
 /// The merged outcome of one parallel batch run.
 #[derive(Debug, Clone)]
 pub struct ParallelRun {
@@ -346,29 +333,6 @@ impl ParallelRun {
     #[must_use]
     pub fn epochs(&self) -> usize {
         self.outcomes.len()
-    }
-
-    /// Successful fixes per second for one lane (lane solved count over
-    /// the batch wall-clock).
-    #[must_use]
-    pub fn lane_fixes_per_sec(&self, lane: usize) -> f64 {
-        let elapsed = self.elapsed.as_secs_f64();
-        if elapsed <= 0.0 {
-            0.0
-        } else {
-            self.lane_stats[lane].solved as f64 / elapsed
-        }
-    }
-
-    /// Successful fixes per second across all lanes.
-    #[must_use]
-    pub fn total_fixes_per_sec(&self) -> f64 {
-        let elapsed = self.elapsed.as_secs_f64();
-        if elapsed <= 0.0 {
-            0.0
-        } else {
-            self.lane_stats.iter().map(|s| s.solved).sum::<u64>() as f64 / elapsed
-        }
     }
 }
 
@@ -743,11 +707,8 @@ mod tests {
         assert_eq!(claimed, 40);
         for w in &run.workers {
             assert_eq!(w.lane_time.len(), 4);
-            assert!(w.utilization(run.elapsed) >= 0.0);
         }
         assert!(run.elapsed > Duration::ZERO);
-        assert!(run.total_fixes_per_sec() > 0.0);
-        assert!(run.lane_fixes_per_sec(1) > 0.0);
     }
 
     #[test]

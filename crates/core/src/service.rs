@@ -2,9 +2,8 @@
 //! thread pool, wrapped in deadlines, backpressure, and a crash-safe
 //! journal.
 //!
-//! This is ROADMAP item 1's runtime layer. Where [`ParallelEngine`]
-//! answers "solve this `Vec` of epochs fast", [`PositioningService`]
-//! answers "keep answering, whatever happens":
+//! Where [`ParallelEngine`] answers "solve this `Vec` of epochs fast",
+//! [`PositioningService`] answers "keep answering, whatever happens":
 //!
 //! * **Sessions, sharded.** Each receiver id maps to one shard
 //!   (`receiver % shards`); a shard owns its sessions and its bounded
@@ -33,7 +32,9 @@
 //!   A shard job writes each drained batch's records under one
 //!   journal lock, in one write. Replay splits the records by receiver
 //!   across the available cores and reports the same whatever their
-//!   count.
+//!   count. It streams the journal a chunk at a time, reading the next
+//!   while the cores replay the last, so it holds two chunks plus its
+//!   sessions whatever the journal's length.
 //! * **Chaos hooks.** [`PositioningService::set_chaos`] injects a
 //!   stall or a panic into a specific shard's job in a specific round;
 //!   with the pool's `inject_worker_exit` these drive the chaos
@@ -53,14 +54,15 @@
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::io;
+use std::fs::File;
+use std::io::{self, Read};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use gps_pool::{SupervisorConfig, ThreadPool};
-use gps_telemetry::journal::{JournalReader, JournalWriter};
+use gps_telemetry::journal::{JournalChunk, JournalChunks, JournalWriter};
 use gps_telemetry::{Counter, Gauge, Histogram};
 
 use crate::error::SolveError;
@@ -864,54 +866,92 @@ impl ReplayReport {
 ///
 /// A session depends only on its own receiver's records, in journal
 /// order, so the records are split by receiver into one partition per
-/// available core: the calling thread replays one and a scoped thread
-/// each of the others. The report is the same whatever the core count.
+/// available core, each replayed on its own scoped thread. The calling
+/// thread streams the file ([`JournalChunks`]): it reads and verifies
+/// the next chunk while the partitions replay the last one, so replay
+/// holds two chunks of about 1 MiB each plus its sessions, whatever
+/// the journal's length. The report is the same whatever the core
+/// count.
 ///
 /// # Errors
 ///
 /// Returns an error only for IO failures or a non-journal file.
 pub fn replay_journal(path: &Path) -> io::Result<ReplayReport> {
-    let reader = JournalReader::open(path)?;
-    Ok(replay_partitioned(
-        &reader,
-        gps_pool::available_parallelism(),
-    ))
+    replay_partitioned(File::open(path)?, gps_pool::available_parallelism())
 }
 
-/// Replays `reader`'s records in `parts` receiver partitions, each on
-/// its own thread, and merges their reports. A partition that cannot
+/// Replays the journal `source` in `parts` receiver partitions, each on
+/// its own thread, and merges their reports. The caller reads chunk
+/// k + 1 while the partitions replay chunk k: a rendezvous hand-off
+/// gives each partition a chunk only once it has finished the one
+/// before, so at most two chunks are in flight. A partition that cannot
 /// get a thread runs on the caller; a panic in any partition reaches
-/// the caller.
-fn replay_partitioned(reader: &JournalReader, parts: usize) -> ReplayReport {
-    let records = reader.records();
+/// the caller, and the hand-off to a dead partition fails at once.
+fn replay_partitioned(source: impl Read, parts: usize) -> io::Result<ReplayReport> {
+    let mut chunks = JournalChunks::new(source)?;
     let parts = parts.max(1);
-    let mut report = std::thread::scope(|scope| {
-        let spawned: Vec<_> = (1..parts)
-            .map(|part| {
-                std::thread::Builder::new()
-                    .name(format!("replay-{part}"))
-                    .spawn_scoped(scope, move || replay_partition(records, part, parts))
-                    .map_err(|_| part)
-            })
-            .collect();
-        let mut report = replay_partition(records, 0, parts);
-        for partition in spawned {
-            let mut other = match partition {
-                Ok(thread) => thread
-                    .join()
-                    .unwrap_or_else(|panic| panic::resume_unwind(panic)),
-                Err(part) => replay_partition(records, part, parts),
-            };
+    std::thread::scope(|scope| {
+        let mut spawned = Vec::new();
+        let mut on_caller = Vec::new();
+        for part in 0..parts {
+            let (chunk_tx, chunk_rx) = mpsc::sync_channel::<Arc<JournalChunk>>(0);
+            let thread = std::thread::Builder::new()
+                .name(format!("replay-{part}"))
+                .spawn_scoped(scope, move || {
+                    let mut partition = Partition::new(part, parts);
+                    for chunk in chunk_rx {
+                        partition.replay(&chunk);
+                    }
+                    partition.report()
+                });
+            match thread {
+                Ok(thread) => spawned.push((chunk_tx, thread)),
+                Err(_) => on_caller.push(Partition::new(part, parts)),
+            }
+        }
+        let mut chunk = JournalChunk::default();
+        let mut handed: Option<Arc<JournalChunk>> = None;
+        while chunks.next_chunk(&mut chunk)? {
+            let shared = Arc::new(std::mem::take(&mut chunk));
+            // Only a partition that panicked drops its receiver; the
+            // join below re-raises its panic.
+            if spawned
+                .iter()
+                .any(|(chunk_tx, _)| chunk_tx.send(Arc::clone(&shared)).is_err())
+            {
+                break;
+            }
+            for partition in &mut on_caller {
+                partition.replay(&shared);
+            }
+            // Every partition has taken this chunk, so each has dropped
+            // the one before: its buffer takes the next chunk.
+            if let Some(done) = handed.replace(shared) {
+                chunk = Arc::try_unwrap(done).unwrap_or_default();
+            }
+        }
+        let mut report = ReplayReport {
+            records: 0,
+            truncated: chunks.truncated(),
+            malformed: 0,
+            mismatches: 0,
+            digests: Vec::new(),
+        };
+        let reports = spawned.into_iter().map(|(chunk_tx, thread)| {
+            drop(chunk_tx);
+            thread
+                .join()
+                .unwrap_or_else(|panic| panic::resume_unwind(panic))
+        });
+        for mut other in reports.chain(on_caller.into_iter().map(Partition::report)) {
             report.records += other.records;
             report.malformed += other.malformed;
             report.mismatches += other.mismatches;
             report.digests.append(&mut other.digests);
         }
-        report
-    });
-    report.truncated = reader.truncated();
-    report.digests.sort_unstable();
-    report
+        report.digests.sort_unstable();
+        Ok(report)
+    })
 }
 
 /// The partition of `parts` a record belongs to: a multiplicative hash
@@ -927,50 +967,78 @@ fn record_partition(words: &[u64], parts: usize) -> usize {
     ((u128::from(mixed) * parts as u128) >> 64) as usize
 }
 
-/// Replays the records of partition `part` of `parts`, in journal
-/// order, through fresh sessions. The report's digests are unsorted,
-/// and it leaves `truncated` to the caller.
-fn replay_partition(records: &[Vec<u64>], part: usize, parts: usize) -> ReplayReport {
-    let mut sessions: HashMap<u64, Session> = HashMap::new();
-    let mut replayed = 0usize;
-    let mut malformed = 0usize;
-    let mut mismatches = 0usize;
-    let own = records
-        .iter()
-        .filter(|words| record_partition(words, parts) == part);
-    for words in own {
-        replayed += 1;
-        let Some(record) = JournalRecord::decode(words) else {
-            malformed += 1;
-            continue;
-        };
-        let session = sessions
-            .entry(record.receiver)
-            .or_insert_with(|| Session::new(record.receiver));
-        let mut clean = record.seq == session.seq();
-        let predicted = session.predicted_bias_m();
-        let result = match record.disposition {
-            Disposition::Solved => session.process(&record.measurements, record.dt_s),
-            Disposition::DeadlineExpired => {
-                // The journaled budget lives in the outcome's error
-                // code only; reconstruct with a zero budget — the code
-                // and digest are budget-independent.
-                session.expire_deadline(record.dt_s, 0)
-            }
-        };
-        clean &= predicted.to_bits() == record.predicted_bias_m.to_bits();
-        clean &= OutcomeBits::from_result(&result) == record.outcome;
-        clean &= session.digest() == record.digest;
-        if !clean {
-            mismatches += 1;
+/// Partition `part` of `parts` of a replay: the sessions of its
+/// receivers, kept across chunks, and its tallies.
+struct Partition {
+    part: usize,
+    parts: usize,
+    sessions: HashMap<u64, Session>,
+    records: usize,
+    malformed: usize,
+    mismatches: usize,
+}
+
+impl Partition {
+    fn new(part: usize, parts: usize) -> Self {
+        Partition {
+            part,
+            parts,
+            sessions: HashMap::new(),
+            records: 0,
+            malformed: 0,
+            mismatches: 0,
         }
     }
-    ReplayReport {
-        records: replayed,
-        truncated: false,
-        malformed,
-        mismatches,
-        digests: sessions.values().map(|s| (s.id(), s.digest())).collect(),
+
+    /// Replays this partition's records of `chunk`, in journal order.
+    fn replay(&mut self, chunk: &JournalChunk) {
+        let own = chunk
+            .records()
+            .filter(|words| record_partition(words, self.parts) == self.part);
+        for words in own {
+            self.records += 1;
+            let Some(record) = JournalRecord::decode(words) else {
+                self.malformed += 1;
+                continue;
+            };
+            let session = self
+                .sessions
+                .entry(record.receiver)
+                .or_insert_with(|| Session::new(record.receiver));
+            let mut clean = record.seq == session.seq();
+            let predicted = session.predicted_bias_m();
+            let result = match record.disposition {
+                Disposition::Solved => session.process(&record.measurements, record.dt_s),
+                Disposition::DeadlineExpired => {
+                    // The journaled budget lives in the outcome's error
+                    // code only; reconstruct with a zero budget — the
+                    // code and digest are budget-independent.
+                    session.expire_deadline(record.dt_s, 0)
+                }
+            };
+            clean &= predicted.to_bits() == record.predicted_bias_m.to_bits();
+            clean &= OutcomeBits::from_result(&result) == record.outcome;
+            clean &= session.digest() == record.digest;
+            if !clean {
+                self.mismatches += 1;
+            }
+        }
+    }
+
+    /// The partition's report. Its digests are unsorted, and it leaves
+    /// `truncated` to the caller.
+    fn report(self) -> ReplayReport {
+        ReplayReport {
+            records: self.records,
+            truncated: false,
+            malformed: self.malformed,
+            mismatches: self.mismatches,
+            digests: self
+                .sessions
+                .values()
+                .map(|s| (s.id(), s.digest()))
+                .collect(),
+        }
     }
 }
 
@@ -990,6 +1058,7 @@ mod tests {
     use super::*;
     use crate::resilient::FixQuality;
     use gps_geodesy::Ecef;
+    use gps_telemetry::journal::JournalReader;
 
     const TRUTH: Ecef = Ecef {
         x: 6.371e6,
@@ -1241,6 +1310,17 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A journal source that hands out at most `.1` bytes per read, so
+    /// no chunk of the replay holds more.
+    struct ShortReads<'a>(&'a [u8], usize);
+
+    impl Read for ShortReads<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let at_most = buf.len().min(self.1);
+            self.0.read(&mut buf[..at_most])
+        }
+    }
+
     #[test]
     fn replay_reports_the_same_at_every_partition_count() {
         let path = std::env::temp_dir().join(format!(
@@ -1291,33 +1371,40 @@ mod tests {
         let bytes = std::fs::read(&path).expect("read");
         std::fs::remove_file(&path).ok();
         // A torn tail.
-        let reader = JournalReader::from_bytes(&bytes[..bytes.len() - 13]).expect("decode");
+        let torn = &bytes[..bytes.len() - 13];
+        let replay = |chunk_bytes: usize, parts: usize| {
+            replay_partitioned(ShortReads(torn, chunk_bytes), parts).expect("replay")
+        };
 
-        let serial = replay_partitioned(&reader, 1);
+        let serial = replay(torn.len(), 1);
         assert!(serial.truncated);
         assert_eq!(serial.records, records.len() - 1);
         assert_eq!(serial.malformed, 2);
         assert!(serial.mismatches > 0);
         assert_eq!(serial.digests.len(), receivers.len());
-        for parts in [2, 3, 7] {
-            let report = replay_partitioned(&reader, parts);
-            assert_eq!(
-                (
-                    report.records,
-                    report.truncated,
-                    report.malformed,
-                    report.mismatches,
-                    &report.digests
-                ),
-                (
-                    serial.records,
-                    serial.truncated,
-                    serial.malformed,
-                    serial.mismatches,
-                    &serial.digests
-                ),
-                "{parts} partitions"
-            );
+        // Chunks below the smallest frame (24 bytes), of about three
+        // 360-byte frames, and of the whole journal.
+        for chunk_bytes in [20, 1_000, torn.len()] {
+            for parts in [1, 2, 3, 7] {
+                let report = replay(chunk_bytes, parts);
+                assert_eq!(
+                    (
+                        report.records,
+                        report.truncated,
+                        report.malformed,
+                        report.mismatches,
+                        &report.digests
+                    ),
+                    (
+                        serial.records,
+                        serial.truncated,
+                        serial.malformed,
+                        serial.mismatches,
+                        &serial.digests
+                    ),
+                    "chunks of {chunk_bytes} bytes, {parts} partitions"
+                );
+            }
         }
         // Ids on a stride still reach every partition.
         for parts in [2, 3] {

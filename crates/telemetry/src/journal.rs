@@ -30,10 +30,16 @@
 //!   reader verifies a journal's, in groups of four with the four
 //!   chains interleaved. A ragged last group runs the scalar chain, and
 //!   every checksum is bit-identical to it.
-//! * **Torn writes cannot poison a replay.** [`JournalReader`] reads
-//!   the file into one buffer, walks the frame headers, copies each
-//!   payload into its own `Vec` and then verifies the checksums. It
-//!   keeps the records before the first incomplete, out-of-sequence or
+//! * **Read in chunks, never whole.** [`JournalChunks`] reads the file
+//!   1 MiB at a time and walks the frames each read completes into a
+//!   reused chunk of payload words, checksums verified four at a time;
+//!   a frame split across two reads is joined, and one longer than the
+//!   block grows the buffer to that frame. There is no whole-file
+//!   buffer: replay holds the chunks in flight, and
+//!   [`JournalReader`], which copies each payload into its own `Vec`,
+//!   holds its records plus one chunk.
+//! * **Torn writes cannot poison a replay.** The reader keeps the
+//!   records before the first incomplete, out-of-sequence or
 //!   checksum-corrupt frame — a process killed mid-`append` costs the
 //!   tail record, never a panic and never a misparse of the bytes that
 //!   follow.
@@ -322,26 +328,228 @@ fn frame_bytes(words: usize) -> Option<usize> {
     words.checked_add(3)?.checked_mul(8)
 }
 
-/// Splits frame `seq` off the front of `bytes`: its payload and the
-/// bytes after the frame. `None` when the length word is past
-/// [`MAX_RECORD_WORDS`], the sequence word is not `seq`, or the frame
-/// is incomplete. The checksum is left to the caller.
-// lint: wire_format
-fn split_frame(bytes: &[u8], seq: u64) -> Option<(Vec<u64>, &[u8])> {
-    let mut header = bytes.chunks_exact(8).map(le_word);
-    let (len, frame_seq) = (header.next()?, header.next()?);
-    if len > MAX_RECORD_WORDS || frame_seq != seq {
-        return None;
-    }
-    let words = usize::try_from(len).ok()?;
-    let (frame, rest) = bytes.split_at_checked(frame_bytes(words)?)?;
-    let payload = frame.get(16..)?.chunks_exact(8).take(words);
-    Some((payload.map(le_word).collect(), rest))
-}
-
 /// The little-endian word in an 8-byte chunk.
 fn le_word(chunk: &[u8]) -> u64 {
     chunk.try_into().map_or(0, u64::from_le_bytes)
+}
+
+/// Bytes a [`JournalChunks`] asks its source for in one read, so about
+/// the bytes of one chunk.
+const CHUNK_BYTES: usize = 1 << 20;
+
+/// The payloads of consecutive verified journal records, packed into
+/// one buffer that [`JournalChunks::next_chunk`] refills.
+#[derive(Debug, Default)]
+pub struct JournalChunk {
+    /// Every record's payload words, back to back.
+    words: Vec<u64>,
+    /// Where each record's payload ends in `words`.
+    ends: Vec<usize>,
+}
+
+impl JournalChunk {
+    /// The records, in journal order.
+    pub fn records(&self) -> impl Iterator<Item = &[u64]> + '_ {
+        self.ends.iter().scan(0, |start, &end| {
+            let payload = self.words.get(*start..end).unwrap_or_default();
+            *start = end;
+            Some(payload)
+        })
+    }
+
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Keeps the first `records` records.
+    fn truncate(&mut self, records: usize) {
+        self.ends.truncate(records);
+        self.words.truncate(self.ends.last().copied().unwrap_or(0));
+    }
+}
+
+/// Reads a journal from any [`Read`] source a chunk at a time: each
+/// [`JournalChunks::next_chunk`] reads up to 1 MiB and hands over the
+/// records whose frames that read completed. Whatever the journal's
+/// length, reading it holds one block of bytes plus the chunks the
+/// caller keeps.
+///
+/// Every frame gets the checks of [`JournalReader::open`]: the length
+/// bound, the sequence number, a whole frame, and its checksum, four
+/// frames at a time. The records end before the first frame that
+/// fails one, and a frame split across two reads is joined, not torn.
+#[derive(Debug)]
+pub struct JournalChunks<R> {
+    source: R,
+    /// Bytes asked of `source` in one read.
+    block: usize,
+    /// Bytes read from `source`; `start..filled` are not walked yet.
+    buffer: Vec<u8>,
+    start: usize,
+    filled: usize,
+    /// Bytes of the frame the unwalked bytes start, once its header is
+    /// read and the frame is not.
+    next_frame: usize,
+    /// Sequence number of the next frame.
+    seq: u64,
+    /// Bytes of the verified frames, magic included.
+    bytes_read: u64,
+    /// Once decoding has stopped: whether it stopped at a torn tail.
+    end: Option<bool>,
+    /// The checksum words of the frames walked into the current chunk.
+    stored: Vec<u64>,
+}
+
+impl<R: Read> JournalChunks<R> {
+    /// Reads and checks the magic header.
+    ///
+    /// # Errors
+    ///
+    /// Propagates an IO error, or returns `InvalidData` when the source
+    /// does not start with the `GPSJRNL1` magic.
+    pub fn new(source: R) -> io::Result<Self> {
+        Self::with_block(source, CHUNK_BYTES)
+    }
+
+    /// [`JournalChunks::new`] with reads of up to `block` bytes.
+    fn with_block(mut source: R, block: usize) -> io::Result<Self> {
+        let mut magic = [0u8; 8];
+        match source.read_exact(&mut magic) {
+            Ok(()) if &magic == JOURNAL_MAGIC => {}
+            Err(e) if e.kind() != io::ErrorKind::UnexpectedEof => return Err(e),
+            _ => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "not a GPSJRNL1 journal (bad magic)",
+                ))
+            }
+        }
+        Ok(JournalChunks {
+            source,
+            block: block.max(1),
+            buffer: Vec::new(),
+            start: 0,
+            filled: 0,
+            next_frame: 0,
+            seq: 0,
+            bytes_read: JOURNAL_MAGIC.len() as u64,
+            end: None,
+            stored: Vec::new(),
+        })
+    }
+
+    /// Replaces `chunk`'s records with the next verified records, and
+    /// returns whether there were any. After it returns `false`,
+    /// [`JournalChunks::truncated`] describes the whole journal.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the source's read error; a torn or corrupt tail is
+    /// not an error.
+    pub fn next_chunk(&mut self, chunk: &mut JournalChunk) -> io::Result<bool> {
+        chunk.truncate(0);
+        while chunk.is_empty() && self.end.is_none() {
+            let read = self.fill()?;
+            self.walk(chunk);
+            if read == 0 && self.end.is_none() {
+                // The source is spent: any byte left is a torn frame.
+                self.end = Some(self.start < self.filled);
+            }
+        }
+        Ok(!chunk.is_empty())
+    }
+
+    /// Whether decoding stopped at a torn or corrupt tail.
+    #[must_use]
+    pub fn truncated(&self) -> bool {
+        self.end.unwrap_or(false)
+    }
+
+    /// Moves the unwalked bytes to the front of the buffer and reads
+    /// into the rest of it; returns the bytes read. The buffer is one
+    /// block, grown to hold a frame longer than that.
+    fn fill(&mut self) -> io::Result<usize> {
+        self.buffer.copy_within(self.start..self.filled, 0);
+        self.filled -= self.start;
+        self.start = 0;
+        let mut size = self.block.max(self.next_frame);
+        if size <= self.filled {
+            size = self.filled.saturating_add(self.block);
+        }
+        if self.buffer.len() < size {
+            // A zeroed allocation: no fill loop over a fresh block.
+            let mut grown = vec![0; size];
+            let kept = self.buffer.get(..self.filled).unwrap_or_default();
+            if let Some(front) = grown.get_mut(..kept.len()) {
+                front.copy_from_slice(kept);
+            }
+            self.buffer = grown;
+        }
+        let free = self.buffer.get_mut(self.filled..).unwrap_or_default();
+        let read = loop {
+            match self.source.read(free) {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                read => break read?,
+            }
+        };
+        self.filled = self.filled.saturating_add(read).min(self.buffer.len());
+        Ok(read)
+    }
+
+    /// Walks the whole frames of the unwalked bytes into `chunk`, then
+    /// verifies their checksums; ends the journal at the first frame
+    /// that fails a check.
+    // lint: wire_format
+    fn walk(&mut self, chunk: &mut JournalChunk) {
+        self.stored.clear();
+        self.next_frame = 0;
+        let first_seq = self.seq;
+        let mut rest = self.buffer.get(self.start..self.filled).unwrap_or_default();
+        while let Some(header) = rest.get(..16) {
+            let (len, seq) = header.split_at(8);
+            let (len, seq) = (le_word(len), le_word(seq));
+            let bytes = usize::try_from(len).ok().and_then(frame_bytes);
+            let Some(bytes) = bytes.filter(|_| len <= MAX_RECORD_WORDS && seq == self.seq) else {
+                self.end = Some(true);
+                break;
+            };
+            let Some((frame, tail)) = rest.split_at_checked(bytes) else {
+                self.next_frame = bytes;
+                break;
+            };
+            let (body, checksum) = frame.split_at(bytes.saturating_sub(8));
+            let payload = body.get(16..).unwrap_or_default();
+            chunk.words.extend(payload.chunks_exact(8).map(le_word));
+            chunk.ends.push(chunk.words.len());
+            self.stored.push(le_word(checksum));
+            self.start = self.start.saturating_add(bytes);
+            self.seq = self.seq.wrapping_add(1);
+            rest = tail;
+        }
+        // The checksums, four frames at a time. The journal ends before
+        // the first frame whose structure or checksum is bad, rather
+        // than guessing at resynchronization.
+        let mut stored = self.stored.iter();
+        let mut verified = 0usize;
+        let bytes_read = &mut self.bytes_read;
+        let _ = for_each_checksummed(first_seq, chunk.records(), |payload, checksum| {
+            if stored.next() != Some(&checksum) {
+                return Err(());
+            }
+            let frame = frame_bytes(payload.len()).ok_or(())?;
+            *bytes_read = bytes_read.saturating_add(frame as u64);
+            verified = verified.saturating_add(1);
+            Ok(())
+        });
+        if verified < chunk.len() {
+            chunk.truncate(verified);
+            self.end = Some(true);
+        }
+    }
 }
 
 /// A decoded journal: every complete record, plus whether the file
@@ -354,7 +562,9 @@ pub struct JournalReader {
 }
 
 impl JournalReader {
-    /// Reads and verifies a journal file.
+    /// Reads and verifies a journal file, a chunk at a time
+    /// ([`JournalChunks`]): it holds its records and one chunk, never
+    /// the file.
     ///
     /// Decoding stops cleanly at the first incomplete frame, checksum
     /// mismatch or out-of-order sequence number — everything before
@@ -367,9 +577,7 @@ impl JournalReader {
     /// Returns an error only for IO failures or a missing/forged magic
     /// header; tail corruption is *not* an error.
     pub fn open(path: &Path) -> io::Result<Self> {
-        let mut bytes = Vec::new();
-        File::open(path)?.read_to_end(&mut bytes)?;
-        Self::from_bytes(&bytes)
+        Self::collect(JournalChunks::new(File::open(path)?)?)
     }
 
     /// Like [`JournalReader::open`] over an in-memory image.
@@ -377,45 +585,21 @@ impl JournalReader {
     /// # Errors
     ///
     /// Returns `InvalidData` when the magic header is absent.
-    // lint: wire_format
     pub fn from_bytes(bytes: &[u8]) -> io::Result<Self> {
-        let Some(mut rest) = bytes.strip_prefix(JOURNAL_MAGIC.as_slice()) else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "not a GPSJRNL1 journal (bad magic)",
-            ));
-        };
-        // First each frame's structure, up to the first that fails it.
+        Self::collect(JournalChunks::new(bytes)?)
+    }
+
+    /// Copies every record of `chunks` into its own `Vec`.
+    fn collect(mut chunks: JournalChunks<impl Read>) -> io::Result<Self> {
         let mut records = Vec::new();
-        let mut seq = 0u64;
-        while let Some((payload, tail)) = split_frame(rest, seq) {
-            records.push(payload);
-            rest = tail;
-            seq = seq.wrapping_add(1);
+        let mut chunk = JournalChunk::default();
+        while chunks.next_chunk(&mut chunk)? {
+            records.extend(chunk.records().map(<[u64]>::to_vec));
         }
-        // Then the checksums, four frames at a time, against the word
-        // that ends each frame. The journal ends before the first frame
-        // whose structure or checksum is bad, rather than guessing at
-        // resynchronization.
-        let mut verified = 0usize;
-        let mut bytes_read = JOURNAL_MAGIC.len();
-        let _ = for_each_checksummed(0, records.iter().map(Vec::as_slice), |payload, checksum| {
-            let end = frame_bytes(payload.len())
-                .and_then(|frame| frame.checked_add(bytes_read))
-                .ok_or(())?;
-            let stored = bytes.get(end.saturating_sub(8)..end).map(le_word);
-            if stored != Some(checksum) {
-                return Err(());
-            }
-            verified = verified.saturating_add(1);
-            bytes_read = end;
-            Ok(())
-        });
-        records.truncate(verified);
         Ok(JournalReader {
             records,
-            truncated: bytes_read < bytes.len(),
-            bytes_read: bytes_read as u64,
+            truncated: chunks.truncated(),
+            bytes_read: chunks.bytes_read,
         })
     }
 
@@ -650,9 +834,28 @@ mod tests {
     /// for a missing magic.
     type Decoded = Option<(Vec<Vec<u64>>, bool, u64)>;
 
-    fn decode(bytes: &[u8]) -> Decoded {
-        let r = JournalReader::from_bytes(bytes).ok()?;
+    fn decoded(reader: io::Result<JournalReader>) -> Decoded {
+        let r = reader.ok()?;
         Some((r.records().to_vec(), r.truncated(), r.bytes_read()))
+    }
+
+    /// [`JournalReader::from_bytes`] of `bytes`, checked against the
+    /// walker reading them from the file `path` in chunks below the
+    /// smallest frame, of a few frames and of the whole journal.
+    fn decode(bytes: &[u8], path: &Path) -> Decoded {
+        let expected = decoded(JournalReader::from_bytes(bytes));
+        std::fs::write(path, bytes).expect("write");
+        for block in [7, 200, bytes.len()] {
+            let file = File::open(path).expect("open");
+            let chunked = JournalChunks::with_block(file, block).and_then(JournalReader::collect);
+            assert_eq!(
+                decoded(chunked),
+                expected,
+                "{} bytes in chunks of {block}",
+                bytes.len()
+            );
+        }
+        expected
     }
 
     /// The reference decoder: one frame at a time, each checked in full,
@@ -695,6 +898,7 @@ mod tests {
         let bytes = journal_bytes("corrupt_each", &payloads);
         let starts = frame_starts(&payloads);
         assert_eq!(starts.last(), Some(&bytes.len()));
+        let path = temp("corrupt_each_chunked");
         for (k, frame) in starts.windows(2).enumerate() {
             let (start, end) = (frame[0], frame[1]);
             for at in start..end {
@@ -709,13 +913,14 @@ mod tests {
                     damaged[at] ^= flip;
                     let expected = (payloads[..k].to_vec(), true, start as u64);
                     assert_eq!(
-                        decode(&damaged),
+                        decode(&damaged, &path),
                         Some(expected),
                         "frame {k}, {part} byte {at}, flip {flip:#04x}"
                     );
                 }
             }
         }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -739,6 +944,7 @@ mod tests {
 
         let mut rng = StdRng::seed_from_u64(0x4a52_4e4c);
         let mut kept = vec![0usize; payloads.len() + 1];
+        let path = temp("fuzz");
         for copy in 0..2_000 {
             let mut bytes = clean.clone();
             for _ in 0..rng.gen_range(1..4) {
@@ -776,12 +982,13 @@ mod tests {
                     }
                 }
             }
-            let decoded = decode(&bytes);
+            let decoded = decode(&bytes, &path);
             assert_eq!(decoded, reference_decode(&bytes), "copy {copy}");
             if let Some((records, _, _)) = decoded {
                 kept[records.len()] += 1;
             }
         }
+        std::fs::remove_file(&path).ok();
         // The damage reaches every frame, and some copies stay whole.
         assert!(kept.iter().all(|&copies| copies > 0), "{kept:?}");
     }

@@ -327,6 +327,25 @@ fn take_u64(bytes: &[u8], at: &mut usize) -> Result<u64, String> {
     Ok(u64::from_le_bytes(buf))
 }
 
+/// Bytes of a worker's header in a dump: id, dropped count and record
+/// count.
+const WORKER_HEADER_BYTES: usize = 16;
+
+/// A `count` read off the wire, of items of at least `item_bytes` each,
+/// checked against the bytes left after `at`: an error when they cannot
+/// all fit, so a lying count reserves nothing.
+// lint: wire_format
+fn counted(count: u32, item_bytes: usize, bytes: &[u8], at: usize) -> Result<usize, String> {
+    let count = usize::try_from(count).map_err(|_| format!("count {count} too large"))?;
+    let left = bytes.len().saturating_sub(at);
+    match count.checked_mul(item_bytes) {
+        Some(needed) if needed <= left => Ok(count),
+        _ => Err(format!(
+            "{count} items of {item_bytes} bytes overrun the {left} bytes left at byte {at}"
+        )),
+    }
+}
+
 impl FlightDump {
     /// Total surviving records across all workers.
     #[must_use]
@@ -370,12 +389,14 @@ impl FlightDump {
         }
         let mut at = 8usize;
         let worker_count = take_u32(bytes, &mut at)?;
-        let mut workers = Vec::with_capacity(worker_count as usize);
+        let mut workers =
+            Vec::with_capacity(counted(worker_count, WORKER_HEADER_BYTES, bytes, at)?);
         for _ in 0..worker_count {
             let worker = take_u32(bytes, &mut at)?;
             let dropped = take_u64(bytes, &mut at)?;
             let record_count = take_u32(bytes, &mut at)?;
-            let mut records = Vec::with_capacity(record_count as usize);
+            let mut records =
+                Vec::with_capacity(counted(record_count, RECORD_WORDS * 8, bytes, at)?);
             for _ in 0..record_count {
                 let mut words = [0u64; RECORD_WORDS];
                 for w in words.iter_mut() {
@@ -634,6 +655,105 @@ mod tests {
         let mut bytes = dump.to_bytes();
         bytes.push(0);
         assert!(FlightDump::from_bytes(&bytes).is_err());
+    }
+
+    #[test]
+    fn damaged_dumps_decode_exactly_or_fail_cleanly() {
+        use gps_rng::rngs::StdRng;
+        use gps_rng::{Rng, SeedableRng};
+
+        let dump = FlightDump {
+            workers: [(0u32, 0u64, 3u64), (2, 0, 0), (5, 40, 6), (9, 0, 2)]
+                .into_iter()
+                .map(|(worker, dropped, records)| WorkerTimeline {
+                    worker,
+                    dropped,
+                    records: (0..records)
+                        .map(|i| FlightRecord {
+                            t_us: 1_000 * i + u64::from(worker),
+                            kind: (i % 9) as u16 + 1,
+                            code: worker as u16,
+                            epoch_id: (7 * i) as u32,
+                            a: tag("DLG") ^ i,
+                            b: 250 + i,
+                        })
+                        .collect(),
+                })
+                .collect(),
+        };
+        let clean = dump.to_bytes();
+        // Where each worker's header starts.
+        let mut headers = Vec::new();
+        let mut at = 12;
+        for w in &dump.workers {
+            headers.push(at);
+            at += 16 + 32 * w.records.len();
+        }
+        assert_eq!(at, clean.len());
+        let last_count = headers[headers.len() - 1] + 12;
+        let set_u32 = |bytes: &mut Vec<u8>, at: usize, value: u32| {
+            bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        };
+        let get_u32 = |bytes: &[u8], at: usize| {
+            u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"))
+        };
+
+        let mut rng = StdRng::seed_from_u64(0x4652_4543);
+        let mut seen = [[0usize; 2]; 7];
+        for copy in 0..3_000 {
+            let mut bytes = clean.clone();
+            let fault = rng.gen_range(0..7);
+            // The count field a count fault hits: the worker count or
+            // one worker's record count.
+            let field = [8]
+                .into_iter()
+                .chain(headers.iter().map(|h| h + 12))
+                .nth(rng.gen_range(0..headers.len() + 1))
+                .expect("a count field");
+            match fault {
+                0 => {
+                    for _ in 0..rng.gen_range(1..4) {
+                        let byte = rng.gen_range(0..bytes.len());
+                        bytes[byte] ^= 1 << rng.gen_range(0..8);
+                    }
+                }
+                1 => bytes.truncate(rng.gen_range(0..clean.len())),
+                2 => {
+                    for _ in 0..rng.gen_range(1..40) {
+                        bytes.push(rng.gen_range(0..256u32) as u8);
+                    }
+                }
+                3 => set_u32(&mut bytes, field, u32::MAX),
+                4 => {
+                    let count = get_u32(&bytes, field);
+                    set_u32(&mut bytes, field, count.wrapping_add(1));
+                }
+                5 => {
+                    let count = get_u32(&bytes, field);
+                    set_u32(&mut bytes, field, count.wrapping_sub(1));
+                }
+                _ => {
+                    // A whole extra record's worth of trailing bytes.
+                    bytes.extend_from_slice(&clean[clean.len() - 32..]);
+                }
+            }
+            let decoded = FlightDump::from_bytes(&bytes);
+            if let Ok(back) = &decoded {
+                assert_eq!(back.to_bytes(), bytes, "copy {copy}: fault {fault}");
+            }
+            // Truncated, over-counted and trailing inputs are errors. One
+            // more record in an inner worker re-reads the bytes after it
+            // as other headers, which may form a valid dump: there only
+            // the round trip above holds.
+            let inner = field != 8 && field != last_count;
+            if matches!(fault, 1 | 2 | 3 | 6) || (fault == 4 && !inner) {
+                assert!(decoded.is_err(), "copy {copy}: fault {fault} decoded");
+            }
+            seen[fault][usize::from(decoded.is_ok())] += 1;
+        }
+        // Every fault ran, and bit flips left some dumps decodable.
+        assert!(seen.iter().all(|s| s[0] + s[1] > 0), "{seen:?}");
+        assert!(seen[0][1] > 0, "{seen:?}");
     }
 
     #[test]

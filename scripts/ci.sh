@@ -162,6 +162,16 @@ cargo run --release --offline -q -- replay "$tmpdir/fleet.jrnl" \
 taskset -c 0 cargo run --release --offline -q -- replay "$tmpdir/fleet.jrnl" \
     --verify-digest "$digest" \
     || { echo "smoke: one-CPU journal replay lost digest parity"; exit 1; }
+# Replay streams the journal in 1 MiB chunks; this one (6,144 records,
+# about 3.4 MB) spans several. Its digest does not depend on scheduling.
+cargo run --release --offline -q -- serve --quick --seed 2010 --sessions 64 --rounds 96 \
+    --journal "$tmpdir/chunks.jrnl" >/dev/null
+cargo run --release --offline -q -- replay "$tmpdir/chunks.jrnl" \
+    --verify-digest 8632e62a55f148a4 \
+    || { echo "smoke: multi-chunk journal replay lost digest parity"; exit 1; }
+taskset -c 0 cargo run --release --offline -q -- replay "$tmpdir/chunks.jrnl" \
+    --verify-digest 8632e62a55f148a4 \
+    || { echo "smoke: one-CPU multi-chunk journal replay lost digest parity"; exit 1; }
 
 echo "==> torn-journal smoke (kill mid-run + torn tail must replay clean)"
 cargo run --release --offline -q -- serve --quick --seed 7 --kill-after 7 \
